@@ -53,7 +53,13 @@ def leaf_map_kernel(res, a):
     return k / np.linalg.norm(k)
 
 
-def _fd_momentum_differential(res, a, u, step_scale=1e-6):
+def _fd_momentum_differential(res, a, u, step_scale=1e-3):
+    """Central difference of circle_momentum along u.
+
+    The momentum is quadratic, so the central difference carries no
+    truncation error at any step; a wide step keeps the rounding noise
+    (about eps * R / h) far below the dual-pair tolerance.
+    """
     a = np.asarray(a, dtype=float)
     u = np.asarray(u, dtype=float)
     h = step_scale * (1.0 + np.linalg.norm(a))

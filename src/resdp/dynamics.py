@@ -6,8 +6,8 @@ and the opposite sign for "minus".  The Hamiltonian vector field is the one
 with d/dt F = {H, F}, under which the circle momentum generates exactly the
 resonant circle action (e^{i n t} a1, e^{i m t} a2) for both signatures.
 
-Both integrators are the classical one-step 4th-order scheme; conservation
-is always measured, never assumed.
+Both flows run through one classical 4th-order Runge-Kutta loop; the
+public flows measure conservation, never assume it.
 """
 
 from dataclasses import dataclass
@@ -116,16 +116,51 @@ class DownstairsHamiltonian:
 
 
 def pullback(res, ham):
-    """The downstairs Hamiltonian composed with the leaf map, with chain-rule gradient."""
+    """The downstairs Hamiltonian composed with the leaf map, with chain-rule gradient.
+
+    A linear Hamiltonian gets the closed-form gradient; one with a Casimir
+    term goes through the leaf-map Jacobian.
+    """
 
     def fn(a):
         return ham.value(res, rm.leaf_map(res, a))
+
+    if ham.casimir_fn is None:
+        return PhaseField(fn, _linear_pullback_gradient(res, ham), "pullback")
 
     def grad(a):
         p = rm.leaf_map(res, a)
         return rm.leaf_map_jacobian(res, a).T @ ham.gradient(res, p)
 
     return PhaseField(fn, grad, "pullback")
+
+
+def _linear_pullback_gradient(res, ham):
+    """Gradient of (alpha X + beta Y + gamma Z) o leaf_map in Python scalars.
+
+    With w = X - iY = a1^m conj(a2)^n, the X and Y rows of the Jacobian come
+    from pa = dw/da1 = m a1^(m-1) conj(a2)^n and pb = dw/dconj(a2) =
+    n a1^m conj(a2)^(n-1); the Z row is (n x1, n y1, -/+ m x2, -/+ m y2).
+    """
+    n, m = res.n, res.m
+    alpha, beta, gamma = ham.alpha, ham.beta, ham.gamma
+    gz1 = gamma * n
+    gz2 = -gamma * m if res.sign == PLUS else gamma * m
+
+    def grad(a):
+        x1, y1, x2, y2 = np.asarray(a, dtype=float).tolist()
+        a1 = complex(x1, y1)
+        c2 = complex(x2, -y2)
+        pa = m * a1 ** (m - 1) * c2 ** n
+        pb = n * a1 ** m * c2 ** (n - 1)
+        return np.array([
+            alpha * pa.real - beta * pa.imag + gz1 * x1,
+            -alpha * pa.imag - beta * pa.real + gz1 * y1,
+            alpha * pb.real - beta * pb.imag + gz2 * x2,
+            alpha * pb.imag + beta * pb.real + gz2 * y2,
+        ])
+
+    return grad
 
 
 def circle_flow(res, a, t):
@@ -149,19 +184,25 @@ def canonical_bracket(sign, f, g, a):
     return float(f.gradient(a) @ poisson_tensor(sign) @ g.gradient(a))
 
 
-def _rk4(rhs, y0, dt, steps):
-    """Classical 4th-order one-step integration with a norm blowup guard."""
+def _rk4(rhs, y0, dt, steps, accept):
+    """Classical 4th-order one-step integration; returns the (steps + 1, d) states.
+
+    rhs(t, y) receives the stage time, so a stage that leaves its domain can
+    report when.  accept(y, k) runs on the state after step k and raises to
+    reject it.
+    """
     out = np.empty((steps + 1, len(y0)))
     out[0] = y0
-    y = np.asarray(y0, dtype=float)
+    y = y0
+    half = 0.5 * dt
     for k in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
+        t = k * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, y + half * k1)
+        k3 = rhs(t + half, y + half * k2)
+        k4 = rhs((k + 1) * dt, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.linalg.norm(y) > _BLOWUP_NORM:
-            raise StepRejected(f"state norm exceeded {_BLOWUP_NORM:g} at step {k + 1}")
+        accept(y, k + 1)
         out[k + 1] = y
     return out
 
@@ -172,36 +213,52 @@ def _step_count(dt, total):
     return int(round(total / dt))
 
 
-def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
-    """Flow of the Hamiltonian vector field defined by the symplectic form."""
+def _blowup(k):
+    return StepRejected(f"state norm exceeded {_BLOWUP_NORM:g} at step {k}")
+
+
+def _upstairs_states(sign, grad, a0, dt, steps):
+    """RK4 states of the flow whose vector field is omega @ grad(a)."""
     ps.check_sign(sign)
     omega = ps.omega_matrix(sign)
-    rhs = lambda a: omega @ hamiltonian.gradient(a)
+
+    def accept(a, k):
+        if np.linalg.norm(a) > _BLOWUP_NORM:
+            raise _blowup(k)
+
+    return _rk4(lambda t, a: omega @ grad(a), np.asarray(a0, dtype=float), dt, steps, accept)
+
+
+def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
+    """Flow of the Hamiltonian vector field defined by the symplectic form."""
     steps = _step_count(dt, total_time)
-    states = _rk4(rhs, np.asarray(a0, dtype=float), dt, steps)
+    states = _upstairs_states(sign, hamiltonian.gradient, a0, dt, steps)
     times = dt * np.arange(steps + 1)
     log = np.array([hamiltonian(a) for a in states])
     return Trajectory(times=times, states=states, conserved={"H": log})
 
 
 def _downstairs_domain_ok(res, p):
-    x, y, z = float(p[0]), float(p[1]), float(p[2])
+    """Open structure domain, elementwise over points of shape (..., 3).
+
+    A single point is checked in Python floats, which keeps the per-stage
+    check of the right-hand side free of numpy scalars.
+    """
+    if isinstance(p, np.ndarray) and p.ndim > 1:
+        x, y, z = np.moveaxis(p, -1, 0)
+    else:
+        x, y, z = (float(v) for v in p)
     rho2 = x * x + y * y
     margin = _AXIS_MARGIN * (1.0 + abs(x) + abs(y) + abs(z))
-    if rho2 <= margin * margin:
-        return False
+    ok = rho2 > margin * margin
     if res.sign == PLUS:
-        return True
-    bound = float(ps.int_pow(z, res.n + res.m))
-    return float(res.n) ** res.m * float(res.m) ** res.n * rho2 < bound
+        return ok
+    bound = ps.int_pow(z, res.n + res.m)
+    return ok & (float(res.n) ** res.m * float(res.m) ** res.n * rho2 < bound)
 
 
-def flow_downstairs(res, hamiltonian, p0, dt, total_time):
-    """Flow of v x grad H for the resonance structure (field m*n*leaf_field).
-
-    The Casimir is re-solved at every stage; leaving the structure domain
-    raises DomainExit with the exit time rather than extrapolating.
-    """
+def _downstairs_states(res, hamiltonian, p0, dt, steps):
+    """RK4 states of v x grad H from p0, with the domain and blowup guards."""
     p0 = np.asarray(p0, dtype=float)
     if not _downstairs_domain_ok(res, p0):
         raise OffDomain("initial point outside the structure domain")
@@ -210,12 +267,11 @@ def flow_downstairs(res, hamiltonian, p0, dt, total_time):
     linear_grad = None
     if hamiltonian.casimir_fn is None:
         linear_grad = (hamiltonian.alpha, hamiltonian.beta, hamiltonian.gamma)
-    clock = {"t": 0.0}
 
-    def rhs(p):
-        if not _downstairs_domain_ok(res, p):
-            raise DomainExit(clock["t"])
-        x, y, z = float(p[0]), float(p[1]), float(p[2])
+    def rhs(t, p):
+        x, y, z = p.tolist()
+        if not _downstairs_domain_ok(res, (x, y, z)):
+            raise DomainExit(t)
         rho2 = x * x + y * y
         c = casimir._solve_value(res, rho2, z)
         vx = 2.0 * mn * x
@@ -227,22 +283,24 @@ def flow_downstairs(res, hamiltonian, p0, dt, total_time):
             hx, hy, hz = hamiltonian.gradient(res, p)
         return np.array([vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx])
 
-    steps = _step_count(dt, total_time)
-    out = np.empty((steps + 1, 3))
-    out[0] = p0
-    p = p0
-    for k in range(steps):
-        clock["t"] = k * dt
-        k1 = rhs(p)
-        k2 = rhs(p + 0.5 * dt * k1)
-        k3 = rhs(p + 0.5 * dt * k2)
-        k4 = rhs(p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def accept(p, k):
         if abs(p[0]) + abs(p[1]) + abs(p[2]) > _BLOWUP_NORM:
-            raise StepRejected(f"state norm exceeded {_BLOWUP_NORM:g} at step {k + 1}")
+            raise _blowup(k)
         if not _downstairs_domain_ok(res, p):
-            raise DomainExit((k + 1) * dt)
-        out[k + 1] = p
+            raise DomainExit(k * dt)
+
+    return _rk4(rhs, p0, dt, steps, accept)
+
+
+def flow_downstairs(res, hamiltonian, p0, dt, total_time):
+    """Flow of v x grad H for the resonance structure (field m*n*leaf_field).
+
+    The Casimir is re-solved at every stage; leaving the structure domain
+    raises DomainExit with the time of the offending stage or step rather
+    than extrapolating.
+    """
+    steps = _step_count(dt, total_time)
+    out = _downstairs_states(res, hamiltonian, p0, dt, steps)
     times = dt * np.arange(steps + 1)
     cvals = np.array([casimir.solve_casimir(res, q).value for q in out])
     hvals = np.array([hamiltonian.value(res, q) for q in out])
@@ -253,20 +311,19 @@ def pushforward_defect(res, hamiltonian, a0, dt, total_time):
     """Worst gap between reduced upstairs flow and the downstairs flow.
 
     Integrates the pulled-back Hamiltonian upstairs, pushes every state
-    through the leaf map, and compares with the downstairs trajectory from
-    the projected initial point.
+    through the leaf map in one batch, and compares with the downstairs
+    trajectory from the projected initial point.  Neither flow keeps a
+    conserved-quantity log here.
     """
     a0 = np.asarray(a0, dtype=float)
-    up = flow_upstairs(res.sign, pullback(res, hamiltonian), a0, dt, total_time)
-    p0 = rm.leaf_map(res, a0)
-    down = flow_downstairs(res, hamiltonian, p0, dt, total_time)
-    worst = 0.0
-    for t, a, p in zip(up.times, up.states, down.states):
-        q = rm.leaf_map(res, a)
-        if not _downstairs_domain_ok(res, q):
-            raise DomainExit(t)
-        worst = max(worst, float(np.max(np.abs(q - p))))
-    return worst
+    steps = _step_count(dt, total_time)
+    up = _upstairs_states(res.sign, pullback(res, hamiltonian).grad, a0, dt, steps)
+    down = _downstairs_states(res, hamiltonian, rm.leaf_map(res, a0), dt, steps)
+    q = rm.leaf_map(res, up)
+    ok = _downstairs_domain_ok(res, q)
+    if not ok.all():
+        raise DomainExit(dt * int(np.argmin(ok)))
+    return float(np.max(np.abs(q - down)))
 
 
 def conservation_report(res, a0, t_grid):

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import casimir, dual_pair, dynamics, group_actions as ga
 from . import phase_space as ps, poisson3, resonance_maps as rm
+from .errors import EmptyFiber, ResdpError
 from .phase_space import MINUS, PLUS
 from .resonance_maps import Resonance
 
@@ -204,7 +205,7 @@ def sample_leaf_points(res, count, seed, field_cap=8.0):
         try:
             ev = casimir.solve_casimir(res, p)
             field = res.mn * casimir.leaf_field(res, p)
-        except Exception:
+        except ResdpError:
             continue
         if np.linalg.norm(field) > field_cap or np.linalg.norm(ev.gradient) > field_cap:
             continue
@@ -350,7 +351,8 @@ def _pushforward_points(res, count, seed, c=1.5):
     """Fiber samples kept well inside the domain and away from leaf poles.
 
     For n < m minus resonances the admissible fiber band itself is thin, so
-    the pole-gap floor adapts to what the domain allows.
+    the pole-gap floor adapts to what the domain allows.  Raises EmptyFiber
+    when 50 rounds of sampling yield fewer than `count` points.
     """
     gap_floor = 0.3 * c
     domain_margin = 0.5
@@ -377,6 +379,9 @@ def _pushforward_points(res, count, seed, c=1.5):
             if len(out) == count:
                 break
         attempt += 1
+    if len(out) < count:
+        raise EmptyFiber(f"found {len(out)}/{count} pushforward start points on the "
+                         f"fiber c={c} after {attempt} attempts")
     return out
 
 

@@ -6,6 +6,7 @@ from resdp import phase_space as ps
 from resdp import resonance_maps as rm
 from resdp.errors import DomainExit, OffDomain, StepRejected
 from resdp.resonance_maps import Resonance
+from resdp.verification import sample_in_domain
 
 
 def cpoint(a1, a2):
@@ -209,6 +210,25 @@ class TestFlowDownstairs:
             dyn.flow_downstairs(res, ham, p0, 1e-3, 20.0)
         assert err.value.time >= 0.0
 
+    def test_domain_exit_reports_stage_time(self):
+        # Step j runs its stages at j dt, j dt + dt/2 and (j + 1) dt; the
+        # state at j dt was accepted, so the exit lies in (j dt, (j + 1) dt].
+        res = Resonance(1, 2, "minus")
+        p0 = rm.leaf_map(res, dp.fiber_sample(res, 1.5, 1, seed=5)[0])
+        ham = dyn.DownstairsHamiltonian(alpha=3.0)
+        dt = 1e-3
+        with pytest.raises(DomainExit) as err:
+            dyn.flow_downstairs(res, ham, p0, dt, 20.0)
+        t_exit = err.value.time
+        j = (round(2.0 * t_exit / dt) - 1) // 2
+        assert j >= 1
+        assert t_exit in (j * dt + 0.5 * dt, (j + 1) * dt)
+        last = dyn.flow_downstairs(res, ham, p0, dt, j * dt)
+        assert len(last.times) == j + 1
+        with pytest.raises(DomainExit) as again:
+            dyn.flow_downstairs(res, ham, p0, dt, (j + 1) * dt)
+        assert again.value.time == t_exit
+
     def test_off_domain_start(self):
         with pytest.raises(OffDomain):
             dyn.flow_downstairs(Resonance(1, 1), dyn.DownstairsHamiltonian(gamma=1.0),
@@ -239,6 +259,55 @@ class TestPushforward:
         a0 = dp.fiber_sample(res, 1.5, 1, seed=6)[0]
         ham = dyn.DownstairsHamiltonian(alpha=0.2, beta=-0.1, gamma=0.7)
         assert dyn.pushforward_defect(res, ham, a0, 1e-3, 1.0) < 1e-6
+
+
+_PULLBACK_HAMS = [dyn.DownstairsHamiltonian(),
+                  dyn.DownstairsHamiltonian(gamma=1.3),
+                  dyn.DownstairsHamiltonian(alpha=0.15, beta=-0.1, gamma=0.8)]
+
+
+class TestPullbackGradient:
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_closed_form_matches_jacobian_product(self, sign):
+        for n in (1, 2, 3, 4):
+            for m in (1, 2, 3, 4):
+                res = Resonance(n, m, sign)
+                pts = sample_in_domain(res, 200, np.random.default_rng(10 * n + m))
+                for ham in _PULLBACK_HAMS:
+                    closed = dyn.pullback(res, ham)
+                    for a in pts:
+                        want = rm.leaf_map_jacobian(res, a).T @ ham.gradient(
+                            res, rm.leaf_map(res, a))
+                        got = closed.gradient(a)
+                        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_casimir_hamiltonian_keeps_jacobian_path(self):
+        res = Resonance(2, 1)
+        ham = dyn.DownstairsHamiltonian(gamma=0.5, casimir_fn=lambda c: c * c,
+                                        casimir_dfn=lambda c: 2.0 * c)
+        a = cpoint(0.9 + 0.2j, 0.6 - 0.5j)
+        p = rm.leaf_map(res, a)
+        want = rm.leaf_map_jacobian(res, a).T @ ham.gradient(res, p)
+        assert np.array_equal(dyn.pullback(res, ham).gradient(a), want)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_mpmath_spot_check(self, sign):
+        mpmath = pytest.importorskip("mpmath")
+        res = Resonance(4, 3, sign)
+        ham = _PULLBACK_HAMS[2]
+        a = cpoint(0.9 + 0.35j, 0.55 - 0.6j)
+        s = 1 if sign == "plus" else -1
+        with mpmath.workdps(50):
+            def h(x1, y1, x2, y2):
+                w = mpmath.mpc(x1, y1) ** 3 * mpmath.mpc(x2, -y2) ** 4
+                z = 2 * (x1 ** 2 + y1 ** 2) - s * mpmath.mpf(3) / 2 * (x2 ** 2 + y2 ** 2)
+                return ham.alpha * w.real - ham.beta * w.imag + ham.gamma * z
+
+            args = [mpmath.mpf(float(v)) for v in a]
+            want = np.array([float(mpmath.diff(h, args, tuple(int(i == j) for j in range(4))))
+                             for i in range(4)])
+        got = dyn.pullback(res, ham).gradient(a)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestConservationReport:
