@@ -37,60 +37,61 @@ class CasimirEval:
     residual: float
 
 
-def bounded_shape_equation(x, y, z, r, n, m):
-    """Defining polynomial of the bounded shapes at level r (broadcasts)."""
-    return x * x + y * y - int_pow((np.asarray(r, dtype=float) + z) / n, m) \
-        * int_pow((np.asarray(r, dtype=float) - z) / m, n)
+def kummer_product(res, c, z):
+    """The Kummer product at level c and height z; broadcasts over c and z.
+
+    ((c+z)/n)^m ((c-z)/m)^n for the bounded family, ((z+c)/n)^m ((z-c)/m)^n
+    for the unbounded one.  A point (x, y, z) lies on the shape at level c
+    exactly when x^2 + y^2 equals this product.
+    """
+    fb = c - z if res.sign == PLUS else z - c
+    return int_pow((c + z) / res.n, res.m) * int_pow(fb / res.m, res.n)
 
 
-def unbounded_shape_equation(x, y, z, r, n, m):
-    """Defining polynomial of the unbounded shapes at level r (broadcasts)."""
-    return x * x + y * y - int_pow((z + np.asarray(r, dtype=float)) / n, m) \
-        * int_pow((z - np.asarray(r, dtype=float)) / m, n)
+def in_leaf_domain(res, p, axis_margin=0.0, bound_margin=1.0):
+    """Whether the Casimir of the given resonance is defined at p.
 
-
-def in_leaf_domain(res, p):
-    """Whether the Casimir of the given resonance is defined at p."""
-    p = np.asarray(p, dtype=float)
-    rho2 = p[..., 0] ** 2 + p[..., 1] ** 2
-    off_axis = rho2 > 0.0
+    Off the z axis: x^2 + y^2 > tau^2 with tau = axis_margin (1 + |x| + |y|
+    + |z|).  The unbounded family also needs n^m m^n (x^2 + y^2) <
+    bound_margin z^(n+m).  Points of shape (k, 3) and up are checked
+    elementwise; a single point is checked in Python floats, which keeps the
+    per-stage check of the downstairs right-hand side free of numpy scalars.
+    """
+    if isinstance(p, np.ndarray) and p.ndim > 1:
+        x, y, z = np.moveaxis(p, -1, 0)
+    else:
+        x, y, z = (float(v) for v in p)
+    rho2 = x * x + y * y
+    tau = axis_margin * (1.0 + abs(x) + abs(y) + abs(z))
+    ok = rho2 > tau * tau
     if res.sign == PLUS:
-        return off_axis if off_axis.shape else bool(off_axis)
-    bound = int_pow(np.asarray(p[..., 2], dtype=float), res.n + res.m)
-    scale = float(int_pow(float(res.n), res.m) * int_pow(float(res.m), res.n))
-    ok = off_axis & (scale * rho2 < bound)
-    return ok if ok.shape else bool(ok)
+        return ok
+    scale = float(res.n ** res.m * res.m ** res.n)
+    return ok & (scale * rho2 < bound_margin * _powi(z, res.n + res.m))
 
 
 def _powi(x, k):
     out = 1.0
     while k:
         if k & 1:
-            out *= x
-        x *= x
+            out = out * x
+        x = x * x
         k >>= 1
     return out
 
 
-def _eval_plus(n, m, rho2, z, r):
-    """Value and derivative of ((r+z)/n)^m ((r-z)/m)^n - rho2."""
+def _eval(n, m, sm, rho2, z, r):
+    """Value and r-derivative of the Kummer product at level r, minus rho2.
+
+    sm is m for the bounded family and -m for the unbounded one, which turns
+    (r-z)/m into (z-r)/m.
+    """
     fa = (r + z) / n
-    fb = (r - z) / m
+    fb = (r - z) / sm
     fa1 = _powi(fa, m - 1)
     fb1 = _powi(fb, n - 1)
     val = fa1 * fa * fb1 * fb - rho2
-    dval = fa1 * fb1 * (m * fb / n + n * fa / m)
-    return val, dval
-
-
-def _eval_minus(n, m, rho2, z, r):
-    """Value and derivative of ((z+r)/n)^m ((z-r)/m)^n - rho2."""
-    fa = (z + r) / n
-    fb = (z - r) / m
-    fa1 = _powi(fa, m - 1)
-    fb1 = _powi(fb, n - 1)
-    val = fa1 * fa * fb1 * fb - rho2
-    dval = fa1 * fb1 * (m * fb / n - n * fa / m)
+    dval = fa1 * fb1 * (m * fb / n + n * fa / sm)
     return val, dval
 
 
@@ -130,13 +131,13 @@ def _newton_bisect(evaluate, lo, hi, increasing):
 def _solve_plus(n, m, rho2, z):
     az = abs(z)
     lo = az * (1.0 + 1e-12) + 1e-300
-    val, _ = _eval_plus(n, m, rho2, z, lo)
+    val, _ = _eval(n, m, m, rho2, z, lo)
     if val >= 0.0:
         # Root pinched between |z| and lo; tighten the left endpoint.
         hi = lo
         for _ in range(64):
             lo = az + (lo - az) / 16.0
-            val, _ = _eval_plus(n, m, rho2, z, lo)
+            val, _ = _eval(n, m, m, rho2, z, lo)
             if val < 0.0:
                 break
             hi = lo
@@ -145,16 +146,16 @@ def _solve_plus(n, m, rho2, z):
     else:
         hi = max(az + 1.0, 2.0 * lo)
         doublings = 0
-        while _eval_plus(n, m, rho2, z, hi)[0] <= 0.0:
+        while _eval(n, m, m, rho2, z, hi)[0] <= 0.0:
             hi *= 2.0
             doublings += 1
             if doublings > 300:
                 raise NoConvergence("upper bracket search failed")
-    return _newton_bisect(lambda r: _eval_plus(n, m, rho2, z, r), lo, hi, True)
+    return _newton_bisect(lambda r: _eval(n, m, m, rho2, z, r), lo, hi, True)
 
 
 def _solve_minus(n, m, rho2, z):
-    return _newton_bisect(lambda r: _eval_minus(n, m, rho2, z, r), 0.0, abs(z), False)
+    return _newton_bisect(lambda r: _eval(n, m, -m, rho2, z, r), 0.0, abs(z), False)
 
 
 def _solve_value(res, rho2, z):
@@ -170,17 +171,16 @@ def solve_casimir(res, p):
     Raises OffDomain when p is on the z axis (either family) or outside the
     open set of the unbounded family.
     """
-    p = np.asarray(p, dtype=float)
     x, y, z = (float(c) for c in p)
     rho2 = x * x + y * y
-    if not in_leaf_domain(res, p):
-        raise OffDomain(f"point {tuple(p)} outside the {res.sign} Casimir domain")
+    if not in_leaf_domain(res, (x, y, z)):
+        raise OffDomain(f"point {(x, y, z)} outside the {res.sign} Casimir domain")
     if res.sign == PLUS:
         value, iterations = _solve_plus(res.n, res.m, rho2, z)
-        residual = abs(_eval_plus(res.n, res.m, rho2, z, value)[0])
     else:
         value, iterations = _solve_minus(res.n, res.m, rho2, z)
-        residual = abs(_eval_minus(res.n, res.m, rho2, z, value)[0])
+    sm = res.m if res.sign == PLUS else -res.m
+    residual = abs(_eval(res.n, res.m, sm, rho2, z, value)[0])
     gradient = _gradient_from_value(res, x, y, z, rho2, value)
     return CasimirEval(value=value, gradient=gradient,
                        iterations=iterations, residual=residual)
@@ -199,16 +199,11 @@ def _gradient_from_value(res, x, y, z, rho2, c):
     return np.array([2.0 * x, 2.0 * y, _field_third_component(res, rho2, z, c)]) / scale
 
 
-def casimir_gradient(res, p):
-    """Gradient of the Casimir by implicit differentiation of the level set."""
-    return solve_casimir(res, p).gradient
-
-
 def leaf_field(res, p):
     """The structure-defining field (2x, 2y, -(x^2+y^2)(m/(C+z) - n/(C-z))).
 
     Equals the spatial gradient of the defining polynomial on the level set,
-    so it is collinear with casimir_gradient.
+    so it is collinear with the Casimir gradient.
     """
     p = np.asarray(p, dtype=float)
     x, y, z = (float(c) for c in p)

@@ -24,14 +24,11 @@ _DOMAIN_ERRORS = (OffDomain, NoConvergence, DomainExit, EmptyFiber, OnAxis,
 
 
 def _default_seed():
+    text = os.environ.get("RESDP_SEED", "42")
     try:
-        return int(os.environ.get("RESDP_SEED", "42"))
+        return int(text)
     except ValueError:
-        return 42
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
+        raise BadParams(f"RESDP_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_floats(text, count, name):
@@ -66,10 +63,10 @@ def _cmd_casimir(args):
     res = _resonance(args)
     point = _parse_floats(args.point, 3, "--point")
     ev = casimir.solve_casimir(res, point)
-    print(f"value {_fmt(ev.value)}")
-    print("gradient " + " ".join(_fmt(g) for g in ev.gradient))
+    print(f"value {jsonio.format_float(ev.value)}")
+    print("gradient " + " ".join(jsonio.format_float(g) for g in ev.gradient))
     print(f"iterations {ev.iterations}")
-    print(f"residual {_fmt(ev.residual)}")
+    print(f"residual {jsonio.format_float(ev.residual)}")
     if args.json:
         _write_report({
             "check": "casimir-eval", "n": res.n, "m": res.m, "sign": res.sign,
@@ -118,7 +115,7 @@ def _write_trajectory_csv(path, traj, state_names):
         logs = [traj.conserved[k] for k in traj.conserved]
         for i, t in enumerate(traj.times):
             row = [t] + list(traj.states[i]) + [log[i] for log in logs]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(jsonio.format_float(v) for v in row) + "\n")
 
 
 def _cmd_flow(args):
@@ -152,6 +149,8 @@ def _print_report(report):
 
 def _cmd_verify(args):
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise BadParams(f"need a seed >= 0, got {seed}")
     if args.what == "all":
         reports = verification.run_all(seed=seed)
         for rep in reports:
@@ -167,6 +166,8 @@ def _cmd_verify(args):
             }, args.json)
         print(f"verify all: {'PASS' if ok else 'FAIL'} ({len(reports)} reports)")
         return 0 if ok else 1
+    if args.samples < 1:
+        raise BadParams(f"need --samples >= 1, got {args.samples}")
     res = _resonance(args)
     check = verification.CHECKS[args.what]
     report = check(res, samples=args.samples, seed=seed, tol=args.tol)

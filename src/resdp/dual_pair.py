@@ -13,25 +13,12 @@ of the second through orthogonal projectors, plus direct annihilation
 residuals.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import phase_space as ps
 from . import casimir, resonance_maps as rm
 from .errors import EmptyFiber, OffDomain, ZeroPoint
 from .phase_space import PLUS
-
-
-@dataclass(frozen=True)
-class DualPairReport:
-    resonance: rm.Resonance
-    samples: int
-    seed: int
-    max_kernel_residual: float
-    max_subspace_distance: float
-    tolerance: float
-    passed: bool
 
 
 def momentum_kernel_basis(res, a):
@@ -168,26 +155,6 @@ def fiber_sample(res, c, count, seed=42, s_range=(0.1, 4.0)):
         if rm.in_domain(res, a):
             samples.append(a)
     return np.array(samples)
-
-
-def dual_pair_report(res, c_values=(0.5, 1.5, 3.0), samples=100, seed=42, tol=1e-9):
-    """Certify the dual-pair condition over fiber samples at several levels."""
-    per_level = max(1, samples // len(c_values))
-    worst_res, worst_dist, total = 0.0, 0.0, 0
-    for i, c in enumerate(c_values):
-        points = fiber_sample(res, c, per_level, seed=seed + i)
-        for a in points:
-            if not rm.in_domain(res, a):
-                continue
-            kernel_residual, distance = dual_pair_defect(res, a)
-            worst_res = max(worst_res, kernel_residual)
-            worst_dist = max(worst_dist, distance)
-            total += 1
-    return DualPairReport(resonance=res, samples=total, seed=seed,
-                          max_kernel_residual=worst_res,
-                          max_subspace_distance=worst_dist,
-                          tolerance=tol,
-                          passed=(worst_res < tol and worst_dist < tol))
 
 
 def leaf_correspondence_check(res, c, count, seed=42):

@@ -18,6 +18,7 @@ import numpy as np
 from . import casimir, phase_space as ps, resonance_maps as rm
 from .errors import DomainExit, OffDomain, StepRejected
 from .phase_space import PLUS
+from .poisson3 import ScalarField
 
 _BLOWUP_NORM = 1e6
 _AXIS_MARGIN = 1e-9
@@ -38,38 +39,14 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class PhaseField:
-    """Scalar function on phase space with optional analytic gradient."""
-
-    fn: Callable
-    grad: Optional[Callable] = None
-    name: str = ""
-
-    def __call__(self, a):
-        return float(self.fn(np.asarray(a, dtype=float)))
-
-    def gradient(self, a, step_scale=1e-6):
-        a = np.asarray(a, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(a), dtype=float)
-        h = step_scale * (1.0 + np.linalg.norm(a))
-        out = np.zeros(4)
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            out[i] = (self.fn(a + e) - self.fn(a - e)) / (2.0 * h)
-        return out
-
-
 def field_R(res):
-    return PhaseField(lambda a: float(rm.circle_momentum(res, a)),
-                      lambda a: rm.circle_momentum_gradient(res, a), "R")
+    return ScalarField(lambda a: float(rm.circle_momentum(res, a)),
+                       lambda a: rm.circle_momentum_gradient(res, a), "R")
 
 
 def _leaf_component(res, idx, name):
-    return PhaseField(lambda a: float(rm.leaf_map(res, a)[idx]),
-                      lambda a: rm.leaf_map_jacobian(res, a)[idx], name)
+    return ScalarField(lambda a: float(rm.leaf_map(res, a)[idx]),
+                       lambda a: rm.leaf_map_jacobian(res, a)[idx], name)
 
 
 def field_X(res):
@@ -126,13 +103,13 @@ def pullback(res, ham):
         return ham.value(res, rm.leaf_map(res, a))
 
     if ham.casimir_fn is None:
-        return PhaseField(fn, _linear_pullback_gradient(res, ham), "pullback")
+        return ScalarField(fn, _linear_pullback_gradient(res, ham), "pullback")
 
     def grad(a):
         p = rm.leaf_map(res, a)
         return rm.leaf_map_jacobian(res, a).T @ ham.gradient(res, p)
 
-    return PhaseField(fn, grad, "pullback")
+    return ScalarField(fn, grad, "pullback")
 
 
 def _linear_pullback_gradient(res, ham):
@@ -176,10 +153,10 @@ def poisson_tensor(sign):
 
 def canonical_bracket(sign, f, g, a):
     """Canonical bracket of two phase-space fields at the point a."""
-    if not isinstance(f, PhaseField):
-        f = PhaseField(f)
-    if not isinstance(g, PhaseField):
-        g = PhaseField(g)
+    if not isinstance(f, ScalarField):
+        f = ScalarField(f)
+    if not isinstance(g, ScalarField):
+        g = ScalarField(g)
     a = np.asarray(a, dtype=float)
     return float(f.gradient(a) @ poisson_tensor(sign) @ g.gradient(a))
 
@@ -238,29 +215,10 @@ def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
     return Trajectory(times=times, states=states, conserved={"H": log})
 
 
-def _downstairs_domain_ok(res, p):
-    """Open structure domain, elementwise over points of shape (..., 3).
-
-    A single point is checked in Python floats, which keeps the per-stage
-    check of the right-hand side free of numpy scalars.
-    """
-    if isinstance(p, np.ndarray) and p.ndim > 1:
-        x, y, z = np.moveaxis(p, -1, 0)
-    else:
-        x, y, z = (float(v) for v in p)
-    rho2 = x * x + y * y
-    margin = _AXIS_MARGIN * (1.0 + abs(x) + abs(y) + abs(z))
-    ok = rho2 > margin * margin
-    if res.sign == PLUS:
-        return ok
-    bound = ps.int_pow(z, res.n + res.m)
-    return ok & (float(res.n) ** res.m * float(res.m) ** res.n * rho2 < bound)
-
-
 def _downstairs_states(res, hamiltonian, p0, dt, steps):
     """RK4 states of v x grad H from p0, with the domain and blowup guards."""
     p0 = np.asarray(p0, dtype=float)
-    if not _downstairs_domain_ok(res, p0):
+    if not casimir.in_leaf_domain(res, p0, _AXIS_MARGIN):
         raise OffDomain("initial point outside the structure domain")
     mn = float(res.mn)
     n, m = res.n, res.m
@@ -270,7 +228,7 @@ def _downstairs_states(res, hamiltonian, p0, dt, steps):
 
     def rhs(t, p):
         x, y, z = p.tolist()
-        if not _downstairs_domain_ok(res, (x, y, z)):
+        if not casimir.in_leaf_domain(res, (x, y, z), _AXIS_MARGIN):
             raise DomainExit(t)
         rho2 = x * x + y * y
         c = casimir._solve_value(res, rho2, z)
@@ -286,7 +244,7 @@ def _downstairs_states(res, hamiltonian, p0, dt, steps):
     def accept(p, k):
         if abs(p[0]) + abs(p[1]) + abs(p[2]) > _BLOWUP_NORM:
             raise _blowup(k)
-        if not _downstairs_domain_ok(res, p):
+        if not casimir.in_leaf_domain(res, p, _AXIS_MARGIN):
             raise DomainExit(k * dt)
 
     return _rk4(rhs, p0, dt, steps, accept)
@@ -320,7 +278,7 @@ def pushforward_defect(res, hamiltonian, a0, dt, total_time):
     up = _upstairs_states(res.sign, pullback(res, hamiltonian).grad, a0, dt, steps)
     down = _downstairs_states(res, hamiltonian, rm.leaf_map(res, a0), dt, steps)
     q = rm.leaf_map(res, up)
-    ok = _downstairs_domain_ok(res, q)
+    ok = casimir.in_leaf_domain(res, q, _AXIS_MARGIN)
     if not ok.all():
         raise DomainExit(dt * int(np.argmin(ok)))
     return float(np.max(np.abs(q - down)))

@@ -11,10 +11,9 @@ import math
 import numpy as np
 
 
-def _format_float(x):
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    return format(x, ".17g")
+def format_float(x):
+    """x at 17 significant digits, which round-trips every float64."""
+    return format(float(x), ".17g")
 
 
 def dumps(obj, indent=0):
@@ -59,7 +58,9 @@ def _write(obj, out, indent, level):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj}")
+        out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     else:

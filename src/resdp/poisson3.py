@@ -20,9 +20,28 @@ from .errors import OffDomain
 from .phase_space import PLUS
 
 
+def central_difference(fn, p, h):
+    """Central differences (fn(p + h e_i) - fn(p - h e_i)) / (2h) along every axis.
+
+    A scalar fn gives the gradient; a vector-valued fn gives the Jacobian,
+    whose column i is the difference along axis i.
+    """
+    p = np.asarray(p, dtype=float)
+    cols = []
+    for i in range(p.shape[-1]):
+        e = np.zeros(p.shape[-1])
+        e[i] = h
+        cols.append((fn(p + e) - fn(p - e)) / (2.0 * h))
+    return np.array(cols).T
+
+
 @dataclass(frozen=True)
-class ScalarField3:
-    """A scalar function on R^3 with an optional analytic gradient."""
+class ScalarField:
+    """A scalar function on R^d with an optional analytic gradient.
+
+    Without one, the gradient is a central difference with step
+    step_scale * (1 + |p|).
+    """
 
     fn: Callable
     grad: Optional[Callable] = None
@@ -35,26 +54,15 @@ class ScalarField3:
         p = np.asarray(p, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(p), dtype=float)
-        return _fd_gradient(self.fn, p, step_scale)
-
-
-def _fd_gradient(fn, p, step_scale=1e-6):
-    p = np.asarray(p, dtype=float)
-    h = step_scale * (1.0 + np.linalg.norm(p))
-    grad = np.zeros(p.shape[-1])
-    for i in range(p.shape[-1]):
-        e = np.zeros(p.shape[-1])
-        e[i] = h
-        grad[i] = (fn(p + e) - fn(p - e)) / (2.0 * h)
-    return grad
+        return central_difference(self.fn, p, step_scale * (1.0 + np.linalg.norm(p)))
 
 
 def coordinate_fields():
     """The three coordinate functions with exact gradients."""
     return (
-        ScalarField3(lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]), "x"),
-        ScalarField3(lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]), "y"),
-        ScalarField3(lambda p: p[2], lambda p: np.array([0.0, 0.0, 1.0]), "z"),
+        ScalarField(lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]), "x"),
+        ScalarField(lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]), "y"),
+        ScalarField(lambda p: p[2], lambda p: np.array([0.0, 0.0, 1.0]), "z"),
     )
 
 
@@ -103,11 +111,7 @@ def nambu_bracket(c, f, g, p):
 
 
 def _fd_curl(structure, p, h):
-    jac = np.zeros((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        jac[:, j] = (structure.field_at(p + e) - structure.field_at(p - e)) / (2.0 * h)
+    jac = central_difference(structure.field_at, p, h)
     return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
 
 
@@ -133,12 +137,7 @@ def jacobi_defect(structure, f, g, h, p, step=1e-4):
     v = structure.field_at(p)
 
     def outer(a, b, c):
-        grad_inner = np.zeros(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = step
-            grad_inner[i] = (bracket(structure, a, b, p + e)
-                             - bracket(structure, a, b, p - e)) / (2.0 * step)
+        grad_inner = central_difference(lambda q: bracket(structure, a, b, q), p, step)
         return float(v @ np.cross(grad_inner, c.gradient(p)))
 
     return float(abs(outer(f, g, h) + outer(g, h, f) + outer(h, f, g)))

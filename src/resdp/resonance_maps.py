@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase_space as ps
+from .casimir import kummer_product
 from .errors import OnAxis
 from .phase_space import MINUS, PLUS, int_pow, to_complex
 
@@ -74,11 +75,6 @@ def leaf_map(res, a):
     return np.stack([w.real, -w.imag, leaf_z(res, a)], axis=-1)
 
 
-def su2_momentum(a):
-    """Momentum map of the SU(2) action; identical to leaf_map(1, 1, plus)."""
-    return leaf_map(Resonance(1, 1, PLUS), a)
-
-
 def su11_momentum(a):
     """Momentum map of the SU(1,1) action, third component as conventionally printed.
 
@@ -124,11 +120,12 @@ def circle_generator(res, a):
                      -res.m * a[..., 3], res.m * a[..., 2]], axis=-1)
 
 
-def in_domain(res, a):
+def in_domain(res, a, margin=1.0):
     """Domain predicate for the dual-pair certification (strict inequalities).
 
     Plus: both complex components nonzero.  Minus: additionally the open
-    condition (n|a1|^2)^m (m|a2|^2)^n < (n/2 |a1|^2 + m/2 |a2|^2)^(n+m).
+    condition (n|a1|^2)^m (m|a2|^2)^n < margin (n/2 |a1|^2 + m/2 |a2|^2)^(n+m);
+    a margin below 1 keeps the point that far inside.
     """
     a1, a2 = to_complex(a)
     r1 = a1.real ** 2 + a1.imag ** 2
@@ -138,24 +135,18 @@ def in_domain(res, a):
         return off_axes if off_axes.shape else bool(off_axes)
     lhs = int_pow(res.n * r1, res.m) * int_pow(res.m * r2, res.n)
     rhs = int_pow(0.5 * res.n * r1 + 0.5 * res.m * r2, res.n + res.m)
-    ok = off_axes & (lhs < rhs)
+    ok = off_axes & (lhs < margin * rhs)
     return ok if ok.shape else bool(ok)
 
 
 def kummer_identity_defect(res, a):
     """|X^2 + Y^2 - product form| for the sign-appropriate pairing of (R, Z).
 
-    The product form is ((R+Z)/n)^m ((R-Z)/m)^n for plus and the same with
-    (Z+R), (Z-R) for minus; both sides are evaluated independently.
+    The product form is the Kummer product at level R (casimir.kummer_product);
+    both sides are evaluated independently.
     """
     p = leaf_map(res, a)
-    r = circle_momentum(res, a)
-    z = p[..., 2]
-    if res.sign == PLUS:
-        fa, fb = (r + z) / res.n, (r - z) / res.m
-    else:
-        fa, fb = (z + r) / res.n, (z - r) / res.m
-    product = int_pow(fa, res.m) * int_pow(fb, res.n)
+    product = kummer_product(res, circle_momentum(res, a), p[..., 2])
     return np.abs(p[..., 0] ** 2 + p[..., 1] ** 2 - product)
 
 

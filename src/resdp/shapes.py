@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .casimir import kummer_product
 from .errors import BadParams
-from .phase_space import PLUS, int_pow
+from .jsonio import format_float
+from .phase_space import PLUS
 
 DEFAULT_DELTA = 1e-6
 
@@ -39,14 +41,6 @@ class TriangleMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     label: str = ""
-
-
-def _radius_squared_bounded(res, c, z):
-    return int_pow((c + z) / res.n, res.m) * int_pow((c - z) / res.m, res.n)
-
-
-def _radius_squared_unbounded(res, c, z):
-    return int_pow((z + c) / res.n, res.m) * int_pow((z - c) / res.m, res.n)
 
 
 def has_lower_sheet(res):
@@ -79,7 +73,7 @@ def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
         mid = 0.5 * ((c - g_top) + (-c + g_bot))
         half = 0.5 * ((c - g_top) - (-c + g_bot))
         z = mid - half * np.cos(np.pi * np.arange(samples) / (samples - 1))
-        y = np.sqrt(_radius_squared_bounded(res, c, z))
+        y = np.sqrt(kummer_product(res, c, z))
         return [Polyline(np.column_stack([y, z]), label="bounded")]
     if z_max is None:
         z_max = 3.0 * c
@@ -87,12 +81,12 @@ def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
     if z_max <= lo:
         raise BadParams(f"need z_max > c(1+delta), got {z_max}")
     z = np.linspace(lo, z_max, samples)
-    curves = [Polyline(np.column_stack([np.sqrt(_radius_squared_unbounded(res, c, z)), z]),
+    curves = [Polyline(np.column_stack([np.sqrt(kummer_product(res, c, z)), z]),
                        label="upper")]
     if has_lower_sheet(res):
         zl = np.linspace(-z_max, -lo, samples)
         curves.append(Polyline(
-            np.column_stack([np.sqrt(_radius_squared_unbounded(res, c, zl)), zl]),
+            np.column_stack([np.sqrt(kummer_product(res, c, zl)), zl]),
             label="lower"))
     return curves
 
@@ -175,15 +169,8 @@ def merge_meshes(meshes):
 def mesh_residual(res, c, mesh):
     """Max |defining polynomial| over the mesh vertices at level c."""
     v = mesh.vertices
-    if res.sign == PLUS:
-        vals = v[:, 0] ** 2 + v[:, 1] ** 2 - _radius_squared_bounded(res, c, v[:, 2])
-    else:
-        vals = v[:, 0] ** 2 + v[:, 1] ** 2 - _radius_squared_unbounded(res, c, v[:, 2])
+    vals = v[:, 0] ** 2 + v[:, 1] ** 2 - kummer_product(res, c, v[:, 2])
     return float(np.max(np.abs(vals))) if len(vals) else 0.0
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def export(geometry, fmt, path):
@@ -200,20 +187,20 @@ def export(geometry, fmt, path):
             if fmt == "csv":
                 fh.write("y,z\n")
                 for y, z in geometry.points:
-                    fh.write(f"{_fmt(y)},{_fmt(z)}\n")
+                    fh.write(f"{format_float(y)},{format_float(z)}\n")
             else:
                 for y, z in geometry.points:
-                    fh.write(f"v 0 {_fmt(y)} {_fmt(z)}\n")
+                    fh.write(f"v 0 {format_float(y)} {format_float(z)}\n")
                 if len(geometry.points) > 1:
                     fh.write("l " + " ".join(str(i + 1) for i in range(len(geometry.points))) + "\n")
         elif isinstance(geometry, TriangleMesh):
             if fmt == "csv":
                 fh.write("x,y,z\n")
                 for x, y, z in geometry.vertices:
-                    fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
+                    fh.write(f"{format_float(x)},{format_float(y)},{format_float(z)}\n")
             else:
                 for x, y, z in geometry.vertices:
-                    fh.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
+                    fh.write(f"v {format_float(x)} {format_float(y)} {format_float(z)}\n")
                 for i, j, k in geometry.triangles:
                     fh.write(f"f {i + 1} {j + 1} {k + 1}\n")
         else:

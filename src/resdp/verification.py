@@ -158,7 +158,8 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
     worst_grad = 0.0
     for p in pts:
         grad = casimir.solve_casimir(res, p).gradient
-        fd = _fd_casimir_gradient(res, p)
+        fd = poisson3.central_difference(lambda q: casimir.solve_casimir(res, q).value, p,
+                                         1e-6 * (1.0 + np.linalg.norm(p)))
         worst_grad = max(worst_grad, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
     details.append({"name": "gradient_vs_fd", "defect": worst_grad,
                     "tolerance": tol if tol else 1e-6})
@@ -173,13 +174,8 @@ def _leaf_points(res, count, rng, margin=0.8):
     """
     a = sample_in_domain(res, count, rng, lo=0.35, hi=1.4)
     pts = rm.leaf_map(res, a)
-    rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    keep = rho2 > 1e-2
-    if res.sign == MINUS:
-        scale = float(res.n) ** res.m * float(res.m) ** res.n
-        bound = ps.int_pow(pts[:, 2], res.n + res.m)
-        keep &= scale * rho2 < margin * bound
-    return pts[keep]
+    keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-2
+    return pts[keep & casimir.in_leaf_domain(res, pts, bound_margin=margin)]
 
 
 def sample_leaf_points(res, count, seed, field_cap=8.0):
@@ -213,23 +209,11 @@ def sample_leaf_points(res, count, seed, field_cap=8.0):
     return np.array(pts)
 
 
-def _fd_casimir_gradient(res, p, step_scale=1e-6):
-    p = np.asarray(p, dtype=float)
-    h = step_scale * (1.0 + np.linalg.norm(p))
-    out = np.zeros(3)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        out[i] = (casimir.solve_casimir(res, p + e).value
-                  - casimir.solve_casimir(res, p - e).value) / (2.0 * h)
-    return out
-
-
 def check_bracket_table(res, samples=1000, seed=42, tol=None):
     """Canonical brackets of (X, Y, Z) against the structure table."""
     rng = np.random.default_rng(seed)
     pts = sample_in_domain(res, samples, rng, lo=0.4, hi=1.4)
-    fx, fy, fz = dynamics.field_X(res), dynamics.field_Y(res), dynamics.field_Z(res)
+    poisson = dynamics.poisson_tensor(res.sign)
     tolerance = tol if tol else 1e-7
     worst = {"yz": 0.0, "zx": 0.0, "xy": 0.0}
     mn = res.mn
@@ -239,27 +223,33 @@ def check_bracket_table(res, samples=1000, seed=42, tol=None):
         x, y, z = (float(c) for c in p)
         expected_xy = -mn * (x * x + y * y) * (res.m / (r + z) - res.n / (r - z))
         scale = 1.0 + abs(2 * mn * x) + abs(2 * mn * y) + abs(expected_xy)
-        worst["yz"] = max(worst["yz"], abs(
-            dynamics.canonical_bracket(res.sign, fy, fz, a) - 2 * mn * x) / scale)
-        worst["zx"] = max(worst["zx"], abs(
-            dynamics.canonical_bracket(res.sign, fz, fx, a) - 2 * mn * y) / scale)
-        worst["xy"] = max(worst["xy"], abs(
-            dynamics.canonical_bracket(res.sign, fx, fy, a) - expected_xy) / scale)
+        # {F, G} = grad F @ P @ grad G as in dynamics.canonical_bracket, from one
+        # leaf-map Jacobian per point instead of one per component gradient.
+        gx, gy, gz = rm.leaf_map_jacobian(res, a)
+        worst["yz"] = max(worst["yz"], abs(float(gy @ poisson @ gz) - 2 * mn * x) / scale)
+        worst["zx"] = max(worst["zx"], abs(float(gz @ poisson @ gx) - 2 * mn * y) / scale)
+        worst["xy"] = max(worst["xy"], abs(float(gx @ poisson @ gy) - expected_xy) / scale)
     details = [{"name": f"bracket_{k}", "defect": v, "tolerance": tolerance}
                for k, v in worst.items()]
     return _assemble("bracket-table", res, samples, seed, details)
 
 
 def check_dual_pair(res, samples=300, seed=42, tol=None):
+    """Dual-pair defects over fiber samples at momentum levels 0.5, 1.5 and 3."""
+    per_level = max(1, samples // 3)
+    worst_res, worst_dist, total = 0.0, 0.0, 0
+    for i, c in enumerate((0.5, 1.5, 3.0)):
+        for a in dual_pair.fiber_sample(res, c, per_level, seed=seed + i):
+            kernel_residual, distance = dual_pair.dual_pair_defect(res, a)
+            worst_res = max(worst_res, kernel_residual)
+            worst_dist = max(worst_dist, distance)
+            total += 1
     tolerance = tol if tol else 1e-9
-    report = dual_pair.dual_pair_report(res, samples=samples, seed=seed, tol=tolerance)
     details = [
-        {"name": "kernel_residual", "defect": report.max_kernel_residual,
-         "tolerance": tolerance},
-        {"name": "subspace_distance", "defect": report.max_subspace_distance,
-         "tolerance": tolerance},
+        {"name": "kernel_residual", "defect": worst_res, "tolerance": tolerance},
+        {"name": "subspace_distance", "defect": worst_dist, "tolerance": tolerance},
     ]
-    return _assemble("dual-pair", res, report.samples, seed, details)
+    return _assemble("dual-pair", res, total, seed, details)
 
 
 def check_leaf_correspondence(res, samples=300, seed=42, tol=None, levels=(0.5, 1.5, 3.0)):
@@ -364,17 +354,11 @@ def _pushforward_points(res, count, seed, c=1.5):
     attempt = 0
     while len(out) < count and attempt < 50:
         pts = dual_pair.fiber_sample(res, c, 4 * count, seed=seed + 101 * attempt)
-        for a in pts:
+        inside = rm.in_domain(res, pts, domain_margin)
+        for a, ok in zip(pts, inside):
             a1, a2 = ps.to_complex(a)
-            m1 = res.n * float(abs(a1)) ** 2
-            m2 = res.m * float(abs(a2)) ** 2
-            if min(m1, m2) < gap_floor:
+            if not ok or min(res.n * float(abs(a1)) ** 2, res.m * float(abs(a2)) ** 2) < gap_floor:
                 continue
-            if res.sign == MINUS:
-                lhs = m1 ** res.m * m2 ** res.n
-                rhs = (0.5 * (m1 + m2)) ** (res.n + res.m)
-                if lhs > domain_margin * rhs:
-                    continue
             out.append(a)
             if len(out) == count:
                 break

@@ -170,9 +170,10 @@ def test_4_dual_pair_suite():
     worst_k, worst_s = 0.0, 0.0
     for n, m, sign in GRID:
         res = Resonance(n, m, sign)
-        rep = dp.dual_pair_report(res, samples=1000, seed=42, tol=1e-9)
-        worst_k = max(worst_k, rep.max_kernel_residual)
-        worst_s = max(worst_s, rep.max_subspace_distance)
+        rep = vf.check_dual_pair(res, samples=1000, seed=42, tol=1e-9)
+        defects = {d["name"]: d["defect"] for d in rep.details}
+        worst_k = max(worst_k, defects["kernel_residual"])
+        worst_s = max(worst_s, defects["subspace_distance"])
         assert rep.samples >= 900, (res, rep.samples)
     criterion("4a dual-pair kernels", worst_k < 1e-9,
               f"max kernel residual {worst_k:.3e} (tol 1e-9, 1000 pts/cell)")
@@ -277,8 +278,8 @@ def test_6_dynamics_suite():
     # One-step method order under halving.
     res = Resonance(1, 1)
     fx, fz = dyn.field_X(res), dyn.field_Z(res)
-    ham = dyn.PhaseField(lambda a: fx(a) ** 2 + fz(a),
-                         lambda a: 2 * fx(a) * fx.gradient(a) + fz.gradient(a))
+    ham = poisson3.ScalarField(lambda a: fx(a) ** 2 + fz(a),
+                               lambda a: 2 * fx(a) * fx.gradient(a) + fz.gradient(a))
     a0 = np.array([1.0, 0.3, -0.4, 0.8])
     drifts = []
     for dt in (4e-3, 2e-3):

@@ -21,24 +21,50 @@ def bisect_root(fn, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def shape_equation(res, p, c):
+    """x^2 + y^2 minus the Kummer product: zero on the shape at level c."""
+    x, y, z = p
+    return x * x + y * y - casimir.kummer_product(res, c, z)
+
+
 class TestShapeEquations:
     def test_bounded_examples(self):
-        assert casimir.bounded_shape_equation(1, 0, 0, 1, 1, 1) == 0.0
-        assert abs(casimir.bounded_shape_equation(1, 0, 0, 2 ** (1 / 3), 2, 1)) < 1e-15
-        assert casimir.bounded_shape_equation(0, 0, 0.7, 0.7, 3, 2) == 0.0
+        assert shape_equation(Resonance(1, 1), (1, 0, 0), 1) == 0.0
+        assert abs(shape_equation(Resonance(2, 1), (1, 0, 0), 2 ** (1 / 3))) < 1e-15
+        assert shape_equation(Resonance(3, 2), (0, 0, 0.7), 0.7) == 0.0
 
     def test_unbounded_examples(self):
-        assert abs(casimir.unbounded_shape_equation(0.6, 0, 1, 0.8, 1, 1)) < 1e-15
-        assert casimir.unbounded_shape_equation(1, 0, 1, 0, 1, 1) == 0.0
+        assert abs(shape_equation(Resonance(1, 1, "minus"), (0.6, 0, 1), 0.8)) < 1e-15
+        assert shape_equation(Resonance(1, 1, "minus"), (1, 0, 1), 0) == 0.0
 
     def test_unbounded_even_symmetry_when_equal(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             x, y, z, r = rng.normal(size=4)
             for n in (1, 2, 3):
-                a = casimir.unbounded_shape_equation(x, y, z, r, n, n)
-                b = casimir.unbounded_shape_equation(x, y, z, -r, n, n)
+                res = Resonance(n, n, "minus")
+                a = shape_equation(res, (x, y, z), r)
+                b = shape_equation(res, (x, y, z), -r)
                 assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_kummer_product_matches_mpmath(self, sign):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for n in range(1, 9):
+                for m in range(1, 9):
+                    res = Resonance(n, m, sign)
+                    c = rng.uniform(0.1, 3.0, size=300)
+                    z = rng.uniform(-3.0, 3.0, size=300)
+                    got = casimir.kummer_product(res, c, z)
+                    for ci, zi, gi in zip(c, z, got):
+                        ci, zi = mpmath.mpf(float(ci)), mpmath.mpf(float(zi))
+                        fb = ci - zi if sign == "plus" else zi - ci
+                        want = ((ci + zi) / n) ** m * (fb / m) ** n
+                        worst = max(worst, float(abs((gi - want) / want)))
+        assert worst < 1e-14
 
 
 class TestSolver:
@@ -58,7 +84,7 @@ class TestSolver:
     def test_unbounded_two_one_oracle(self):
         # Independent bisection on the defining polynomial, then the frozen
         # value the oracle produced.
-        fn = lambda r: casimir.unbounded_shape_equation(1.0, 0.0, 2.0, r, 2, 1)
+        fn = lambda r: shape_equation(Resonance(2, 1, "minus"), (1.0, 0.0, 2.0), r)
         oracle = bisect_root(fn, 0.0, 2.0)
         ev = casimir.solve_casimir(Resonance(2, 1, "minus"), [1.0, 0.0, 2.0])
         assert ev.value == pytest.approx(oracle, rel=1e-12)
@@ -132,18 +158,69 @@ class TestSolver:
             casimir.solve_casimir(Resonance(2, 1, "minus"), [1.0, 0.0, -2.0])
 
 
+def domain_probe_points(res, rng):
+    """10^4 leaf points, 6,000 of them within 4 ulps of a domain boundary.
+
+    Half of those straddle the axis margin 1e-9 (1 + |x| + |y| + |z|), the
+    other half the bound n^m m^n rho^2 < margin z^(n+m) at margins 1 and
+    0.8; 50 lie on the axis and 4,000 are generic.
+    """
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=6000)
+    ulps = rng.integers(-4, 5, size=6000)
+    z = rng.uniform(0.5, 2.0, size=6000) * rng.choice([-1.0, 1.0], size=6000)
+    rho = np.empty(6000)
+    cos_sin = np.abs(np.cos(theta[:3000])) + np.abs(np.sin(theta[:3000]))
+    rho[:3000] = 1e-9 * (1.0 + 1e-9 * (1.0 + np.abs(z[:3000])) * cos_sin + np.abs(z[:3000]))
+    scale = float(res.n ** res.m * res.m ** res.n)
+    margin = np.where(np.arange(3000) % 2 == 0, 1.0, 0.8)
+    rho[3000:] = np.sqrt(margin * np.abs(z[3000:]) ** (res.n + res.m) / scale)
+    x = rho * np.cos(theta)
+    x = x + ulps * np.spacing(x)
+    probes = np.column_stack([x, rho * np.sin(theta), z])
+    probes[:50, :2] = 0.0
+    generic = rng.uniform(-2.0, 2.0, size=(4000, 3))
+    return np.vstack([probes, generic])
+
+
+class TestLeafDomain:
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_single_point_path_matches_array_path(self, sign):
+        rng = np.random.default_rng(12)
+        for n in range(1, 5):
+            for m in range(1, 5):
+                res = Resonance(n, m, sign)
+                pts = domain_probe_points(res, rng)
+                rows = pts.tolist()
+                for axis_margin, bound_margin in [(0.0, 1.0), (1e-9, 1.0), (0.0, 0.8)]:
+                    got = casimir.in_leaf_domain(res, pts, axis_margin, bound_margin)
+                    assert got.shape == (10000,)
+                    assert got.any() and not got.all()
+                    single = [casimir.in_leaf_domain(res, p, axis_margin, bound_margin)
+                              for p in rows]
+                    assert single == got.tolist(), (res, axis_margin, bound_margin)
+
+    def test_margins_shrink_the_domain(self):
+        res = Resonance(2, 1, "minus")
+        # n^m m^n rho^2 / z^3 = 0.9: inside the open set, outside the 0.8 margin.
+        p = [np.sqrt(0.9 / 2.0), 0.0, 1.0]
+        assert casimir.in_leaf_domain(res, p)
+        assert not casimir.in_leaf_domain(res, p, bound_margin=0.8)
+        assert casimir.in_leaf_domain(res, [1e-10, 0.0, 1.0])
+        assert not casimir.in_leaf_domain(res, [1e-10, 0.0, 1.0], axis_margin=1e-9)
+
+
 class TestGradient:
     def test_sphere_gradient(self):
-        got = casimir.casimir_gradient(Resonance(1, 1), [3.0, 0.0, 4.0])
+        got = casimir.solve_casimir(Resonance(1, 1), [3.0, 0.0, 4.0]).gradient
         assert np.allclose(got, [0.6, 0.0, 0.8], atol=1e-12)
 
     def test_hyperboloid_gradient(self):
-        got = casimir.casimir_gradient(Resonance(1, 1, "minus"), [0.6, 0.0, 1.0])
+        got = casimir.solve_casimir(Resonance(1, 1, "minus"), [0.6, 0.0, 1.0]).gradient
         assert np.allclose(got, [-0.75, 0.0, 1.25], atol=1e-12)
 
     def test_equator_z_component_vanishes_for_equal_orders(self):
         for n in (1, 2, 3):
-            got = casimir.casimir_gradient(Resonance(n, n), [1.1, 0.0, 0.0])
+            got = casimir.solve_casimir(Resonance(n, n), [1.1, 0.0, 0.0]).gradient
             assert abs(got[2]) < 1e-12
 
     @pytest.mark.parametrize("n,m,sign", [(1, 1, "plus"), (3, 2, "plus"), (2, 5, "plus"),
@@ -161,7 +238,7 @@ class TestGradient:
                 scale = float(n) ** m * float(m) ** n
                 if scale * (p[0] ** 2 + p[1] ** 2) > 0.8 * p[2] ** (n + m):
                     continue
-            grad = casimir.casimir_gradient(res, p)
+            grad = casimir.solve_casimir(res, p).gradient
             h = 1e-6 * (1.0 + np.linalg.norm(p))
             fd = np.zeros(3)
             for i in range(3):
@@ -219,7 +296,7 @@ class TestLeafField:
                 if not casimir.in_leaf_domain(res, p) or p[0] ** 2 + p[1] ** 2 < 1e-2:
                     continue
                 v = casimir.leaf_field(res, p)
-                grad = casimir.casimir_gradient(res, p)
+                grad = casimir.solve_casimir(res, p).gradient
                 cross = np.linalg.norm(np.cross(v, grad))
                 assert cross < 1e-9 * np.linalg.norm(v) * np.linalg.norm(grad)
                 factor = casimir.scaling_factor(res, p)

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from resdp.cli import main
 
 
@@ -48,6 +50,22 @@ class TestUsageErrors:
         code = main(["mesh", "--n", "1", "--m", "1", "--c", "-1",
                      "--out", str(tmp_path / "m.obj")])
         assert code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("what", ["identity", "integrability", "jacobi"])
+    def test_no_samples_rejected(self, what, capsys):
+        assert main(["verify", what, "--n", "2", "--m", "1", "--samples", "0"]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "4.5", "-3"])
+    def test_invalid_seed_from_environment_rejected(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("RESDP_SEED", value)
+        assert main(["verify", "identity", "--n", "2", "--m", "1", "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert value in err and "seed" in err.lower()
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["verify", "identity", "--samples", "10", "--seed", "-1"]) == 2
         capsys.readouterr()
 
     def test_help_exits_zero(self, capsys):

@@ -5,6 +5,7 @@ from resdp import casimir, dual_pair as dp, dynamics as dyn
 from resdp import phase_space as ps
 from resdp import resonance_maps as rm
 from resdp.errors import DomainExit, OffDomain, StepRejected
+from resdp.poisson3 import ScalarField
 from resdp.resonance_maps import Resonance
 from resdp.verification import sample_in_domain
 
@@ -35,10 +36,10 @@ class TestCircleFlow:
 class TestCanonicalBracket:
     def test_normalization_first_plane(self):
         # {|a1|^2, x1} = -2 y1 and {|a1|^2, y1} = 2 x1 for both signs.
-        mod = dyn.PhaseField(lambda a: a[0] ** 2 + a[1] ** 2,
-                             lambda a: np.array([2 * a[0], 2 * a[1], 0.0, 0.0]))
-        x1 = dyn.PhaseField(lambda a: a[0], lambda a: np.array([1.0, 0, 0, 0]))
-        y1 = dyn.PhaseField(lambda a: a[1], lambda a: np.array([0.0, 1, 0, 0]))
+        mod = ScalarField(lambda a: a[0] ** 2 + a[1] ** 2,
+                          lambda a: np.array([2 * a[0], 2 * a[1], 0.0, 0.0]))
+        x1 = ScalarField(lambda a: a[0], lambda a: np.array([1.0, 0, 0, 0]))
+        y1 = ScalarField(lambda a: a[1], lambda a: np.array([0.0, 1, 0, 0]))
         rng = np.random.default_rng(0)
         for sign in ("plus", "minus"):
             a = rng.normal(size=4)
@@ -46,9 +47,9 @@ class TestCanonicalBracket:
             assert dyn.canonical_bracket(sign, mod, y1, a) == pytest.approx(2 * a[0])
 
     def test_second_plane_sign_flips(self):
-        mod = dyn.PhaseField(lambda a: a[2] ** 2 + a[3] ** 2,
-                             lambda a: np.array([0.0, 0.0, 2 * a[2], 2 * a[3]]))
-        x2 = dyn.PhaseField(lambda a: a[2], lambda a: np.array([0.0, 0, 1, 0]))
+        mod = ScalarField(lambda a: a[2] ** 2 + a[3] ** 2,
+                          lambda a: np.array([0.0, 0.0, 2 * a[2], 2 * a[3]]))
+        x2 = ScalarField(lambda a: a[2], lambda a: np.array([0.0, 0, 1, 0]))
         a = np.array([0.1, 0.2, 0.5, 0.7])
         assert dyn.canonical_bracket("plus", mod, x2, a) == pytest.approx(-2 * a[3])
         assert dyn.canonical_bracket("minus", mod, x2, a) == pytest.approx(2 * a[3])
@@ -126,7 +127,7 @@ class TestFlowUpstairs:
             assert np.max(np.abs(traj.states[-1] - exact)) < 1e-9
 
     def test_constant_hamiltonian_is_stationary(self):
-        const = dyn.PhaseField(lambda a: 3.0, lambda a: np.zeros(4))
+        const = ScalarField(lambda a: 3.0, lambda a: np.zeros(4))
         traj = dyn.flow_upstairs("plus", const, [1.0, 0.0, 0.5, 0.2], 1e-2, 0.5)
         assert np.max(np.abs(traj.states - traj.states[0])) == 0.0
 
@@ -148,8 +149,8 @@ class TestFlowUpstairs:
     def test_order_factor_under_step_halving(self):
         res = Resonance(1, 1)
         fx, fz = dyn.field_X(res), dyn.field_Z(res)
-        ham = dyn.PhaseField(lambda a: fx(a) ** 2 + fz(a),
-                             lambda a: 2 * fx(a) * fx.gradient(a) + fz.gradient(a))
+        ham = ScalarField(lambda a: fx(a) ** 2 + fz(a),
+                          lambda a: 2 * fx(a) * fx.gradient(a) + fz.gradient(a))
         a0 = np.array([1.0, 0.3, -0.4, 0.8])
         drifts = []
         for dt in (4e-3, 2e-3):
@@ -160,8 +161,8 @@ class TestFlowUpstairs:
 
     def test_blowup_guard(self):
         # A gradient engineered so the flow is pure exponential growth.
-        runaway = dyn.PhaseField(lambda a: 0.0,
-                                 lambda a: -ps.omega_matrix("plus") @ a * 8.0)
+        runaway = ScalarField(lambda a: 0.0,
+                              lambda a: -ps.omega_matrix("plus") @ a * 8.0)
         with pytest.raises(StepRejected):
             dyn.flow_upstairs("plus", runaway, [1.0, 0.0, 0.0, 0.0], 1e-2, 3.0)
 

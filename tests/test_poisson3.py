@@ -4,7 +4,7 @@ import pytest
 from resdp import casimir, poisson3
 from resdp import resonance_maps as rm
 from resdp.errors import OffDomain
-from resdp.poisson3 import PoissonStructure3, ScalarField3, coordinate_fields
+from resdp.poisson3 import PoissonStructure3, ScalarField, coordinate_fields
 from resdp.resonance_maps import Resonance
 from resdp.verification import sample_leaf_points
 
@@ -50,7 +50,7 @@ class TestBracket:
 
     def test_leibniz_with_fd_gradients(self):
         s = sphere_structure()
-        fg = ScalarField3(lambda p: p[0] * p[1], name="xy")
+        fg = ScalarField(lambda p: p[0] * p[1], name="xy")
         rng = np.random.default_rng(1)
         for _ in range(10):
             p = rng.uniform(0.5, 1.5, size=3)
@@ -58,6 +58,21 @@ class TestBracket:
             rhs = p[0] * poisson3.bracket(s, FY, FZ, p) \
                 + p[1] * poisson3.bracket(s, FX, FZ, p)
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+    def test_fd_gradient_of_cubic(self):
+        def cubic(p):
+            return p[0] ** 3 - 2.0 * p[0] * p[1] * p[2] + 0.5 * p[2] ** 3 + p[1]
+
+        def exact(p):
+            return np.array([3.0 * p[0] ** 2 - 2.0 * p[1] * p[2], -2.0 * p[0] * p[2] + 1.0,
+                             -2.0 * p[0] * p[1] + 1.5 * p[2] ** 2])
+
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            p = rng.uniform(-1.5, 1.5, size=3)
+            got = poisson3.central_difference(cubic, p, 1e-6 * (1.0 + np.linalg.norm(p)))
+            assert np.max(np.abs(got - exact(p))) < 1e-8
+            assert np.array_equal(ScalarField(cubic).gradient(p), got)
 
     def test_off_domain_raises(self):
         s = poisson3.resonance_structure(Resonance(2, 1))
@@ -73,21 +88,21 @@ class TestHamiltonianVF:
     def test_casimir_hamiltonian_is_stationary(self):
         res = Resonance(2, 1)
         s = poisson3.resonance_structure(res)
-        cas = ScalarField3(lambda p: casimir.solve_casimir(res, p).value,
-                           lambda p: casimir.casimir_gradient(res, p), "C")
+        cas = ScalarField(lambda p: casimir.solve_casimir(res, p).value,
+                           lambda p: casimir.solve_casimir(res, p).gradient, "C")
         for p in leaf_points(res, 20, seed=2):
             vf = poisson3.hamiltonian_vf(s, cas, p)
             assert np.linalg.norm(vf) < 1e-9 * (1.0 + np.linalg.norm(s.field_at(p)))
 
     def test_constant_hamiltonian(self):
-        const = ScalarField3(lambda p: 4.2, lambda p: np.zeros(3))
+        const = ScalarField(lambda p: 4.2, lambda p: np.zeros(3))
         got = poisson3.hamiltonian_vf(sphere_structure(), const, [1.0, 1.0, 1.0])
         assert np.allclose(got, 0.0)
 
     def test_orthogonal_to_field_and_gradient(self):
         rng = np.random.default_rng(3)
         s = sphere_structure()
-        h = ScalarField3(lambda p: p[0] + 0.5 * p[2] ** 2,
+        h = ScalarField(lambda p: p[0] + 0.5 * p[2] ** 2,
                          lambda p: np.array([1.0, 0.0, p[2]]))
         for _ in range(20):
             p = rng.normal(size=3)
@@ -101,7 +116,7 @@ class TestNambu:
         assert poisson3.nambu_bracket(FZ, FX, FY, [0.1, 0.2, 0.3]) == 1.0
 
     def test_radius_squared(self):
-        r2 = ScalarField3(lambda p: p @ p, lambda p: 2.0 * p)
+        r2 = ScalarField(lambda p: p @ p, lambda p: 2.0 * p)
         assert poisson3.nambu_bracket(r2, FX, FY, [0.0, 0.0, 1.0]) == 2.0
 
     def test_repeated_argument_vanishes(self):
@@ -115,7 +130,7 @@ class TestNambu:
         assert poisson3.nambu_bracket(FZ, FX, FY, p) == pytest.approx(base, abs=1e-14)
 
     def test_matches_gradient_structure(self):
-        c = ScalarField3(lambda p: p @ p, lambda p: 2.0 * p)
+        c = ScalarField(lambda p: p @ p, lambda p: 2.0 * p)
         s = PoissonStructure3(field=lambda p: 2.0 * p)
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -127,6 +142,15 @@ class TestNambu:
 class TestIntegrability:
     def test_gradient_field_closed(self):
         assert poisson3.integrability_defect(sphere_structure(), [1.0, -0.5, 2.0]) < 1e-9
+
+    def test_fd_jacobian_layout(self):
+        # Row i holds the derivatives of component i, as the curl expects.
+        a = np.array([[1.0, 2.0, -3.0], [0.5, -1.0, 4.0], [7.0, 0.25, 2.0]])
+        jac = poisson3.central_difference(lambda p: a @ p, [0.3, -1.2, 0.8], 1e-3)
+        assert np.allclose(jac, a, rtol=0.0, atol=1e-10)
+        curl = poisson3._fd_curl(PoissonStructure3(field=lambda p: a @ p), np.ones(3), 1e-3)
+        assert np.allclose(curl, [a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]],
+                           rtol=0.0, atol=1e-10)
 
     def test_twist_control_value(self):
         got = poisson3.integrability_defect(twist_structure(), [1.0, 1.0, 1.0])
@@ -188,7 +212,7 @@ class TestBivector:
     def test_reproduces_bracket(self):
         s = sphere_structure()
         rng = np.random.default_rng(10)
-        h = ScalarField3(lambda p: p[0] * p[2], lambda p: np.array([p[2], 0.0, p[0]]))
+        h = ScalarField(lambda p: p[0] * p[2], lambda p: np.array([p[2], 0.0, p[0]]))
         for _ in range(10):
             p = rng.normal(size=3)
             mat = poisson3.bivector_matrix(s, p)
@@ -233,8 +257,8 @@ class TestResonanceStructure:
     def test_casimir_property(self, n, m, sign):
         res = Resonance(n, m, sign)
         s = poisson3.resonance_structure(res)
-        cas = ScalarField3(lambda p: casimir.solve_casimir(res, p).value,
-                           lambda p: casimir.casimir_gradient(res, p), "C")
+        cas = ScalarField(lambda p: casimir.solve_casimir(res, p).value,
+                           lambda p: casimir.solve_casimir(res, p).gradient, "C")
         for p in leaf_points(res, 25, seed=14):
             for coord in (FX, FY, FZ):
                 assert abs(poisson3.bracket(s, cas, coord, p)) < 1e-8
@@ -242,8 +266,8 @@ class TestResonanceStructure:
     def test_leaf_tangency(self):
         res = Resonance(2, 1)
         s = poisson3.resonance_structure(res)
-        h = ScalarField3(lambda p: p[2] + 0.3 * p[0], lambda p: np.array([0.3, 0.0, 1.0]))
+        h = ScalarField(lambda p: p[2] + 0.3 * p[0], lambda p: np.array([0.3, 0.0, 1.0]))
         for p in leaf_points(res, 20, seed=15):
             vf = poisson3.hamiltonian_vf(s, h, p)
-            grad = casimir.casimir_gradient(res, p)
+            grad = casimir.solve_casimir(res, p).gradient
             assert abs(vf @ grad) < 1e-9 * (1.0 + np.linalg.norm(vf) * np.linalg.norm(grad))

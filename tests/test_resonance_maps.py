@@ -70,14 +70,11 @@ class TestLeafMap:
         assert np.allclose(got, [0.0, 0.0, 0.5])
 
     def test_su2_momentum_values(self):
-        assert np.allclose(rm.su2_momentum(cpoint(1.0, 0.0)), [0.0, 0.0, 0.5])
-        assert np.allclose(rm.su2_momentum(cpoint(1.0, 1.0)), [1.0, 0.0, 0.0])
-        assert np.allclose(rm.su2_momentum(cpoint(1.0, 1j)), [0.0, 1.0, 0.0])
-
-    def test_su2_momentum_equals_11_leaf_map(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(100, 4))
-        assert np.array_equal(rm.su2_momentum(a), rm.leaf_map(Resonance(1, 1), a))
+        # The SU(2) momentum map is the 1:1 leaf map.
+        su2 = Resonance(1, 1)
+        assert np.allclose(rm.leaf_map(su2, cpoint(1.0, 0.0)), [0.0, 0.0, 0.5])
+        assert np.allclose(rm.leaf_map(su2, cpoint(1.0, 1.0)), [1.0, 0.0, 0.0])
+        assert np.allclose(rm.leaf_map(su2, cpoint(1.0, 1j)), [0.0, 1.0, 0.0])
 
     def test_su11_momentum_as_printed(self):
         assert np.allclose(rm.su11_momentum(cpoint(1.0, 0.0)), [0.0, 0.0, -0.5])
@@ -169,6 +166,14 @@ class TestDomain:
 
     def test_minus_interior_point(self):
         assert rm.in_domain(Resonance(1, 1, "minus"), cpoint(2.0, 1.0))
+
+    def test_margin_keeps_points_inside(self):
+        # (n|a1|^2)^m (m|a2|^2)^n over (n/2 |a1|^2 + m/2 |a2|^2)^(n+m) is 0.75 here.
+        res = Resonance(1, 1, "minus")
+        a = cpoint(np.sqrt(3.0), 1.0)
+        assert rm.in_domain(res, a, 0.9)
+        assert not rm.in_domain(res, a, 0.5)
+        assert rm.in_domain(Resonance(1, 1), a, 0.5)
 
     def test_vectorized(self):
         res = Resonance(1, 1, "minus")

@@ -20,7 +20,7 @@ class TestGeneratingCurve:
             c = rng.uniform(0.5, 2.0)
             [curve] = shapes.generating_curve(Resonance(n, m), c, 60)
             y, z = curve.points[:, 0], curve.points[:, 1]
-            resid = casimir.bounded_shape_equation(0.0, y, z, c, n, m)
+            resid = y * y - casimir.kummer_product(Resonance(n, m), c, z)
             assert np.max(np.abs(resid)) < 1e-10 * (1 + c * c)
 
     def test_minus_odd_parity_has_single_sheet(self):
