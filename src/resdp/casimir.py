@@ -190,12 +190,8 @@ def _field_third_component(res, rho2, z, c):
     return -rho2 * (res.m / (c + z) - res.n / (c - z))
 
 
-def _scale_from_value(res, rho2, z, c):
-    return rho2 * (res.m / (c + z) + res.n / (c - z))
-
-
 def _gradient_from_value(res, x, y, z, rho2, c):
-    scale = _scale_from_value(res, rho2, z, c)
+    scale = rho2 * (res.m / (c + z) + res.n / (c - z))
     return np.array([2.0 * x, 2.0 * y, _field_third_component(res, rho2, z, c)]) / scale
 
 
@@ -211,15 +207,3 @@ def leaf_field(res, p):
     c = solve_casimir(res, p).value
     return np.array([2.0 * x, 2.0 * y, _field_third_component(res, rho2, z, c)])
 
-
-def scaling_factor(res, p):
-    """Factor relating field and gradient: leaf_field = factor * gradient.
-
-    Always (x^2+y^2)(m/(C+z) + n/(C-z)) at the solved level.  Strictly
-    positive for the bounded family (C > |z| makes both terms positive);
-    nonvanishing but of either sign for the unbounded one.
-    """
-    p = np.asarray(p, dtype=float)
-    x, y, z = (float(c) for c in p)
-    c = solve_casimir(res, p).value
-    return _scale_from_value(res, x * x + y * y, z, c)

@@ -151,6 +151,8 @@ def _cmd_verify(args):
     seed = args.seed if args.seed is not None else _default_seed()
     if seed < 0:
         raise BadParams(f"need a seed >= 0, got {seed}")
+    if args.tol is not None and not 0.0 < args.tol < np.inf:
+        raise BadParams(f"need a finite --tol > 0, got {args.tol}")
     if args.what == "all":
         reports = verification.run_all(seed=seed)
         for rep in reports:

@@ -40,16 +40,17 @@ def leaf_map_kernel(res, a):
     return k / np.linalg.norm(k)
 
 
-def _fd_momentum_differential(res, a, u, step_scale=1e-3):
+def _fd_momentum_differential(res, a, u):
     """Central difference of circle_momentum along u.
 
     The momentum is quadratic, so the central difference carries no
     truncation error at any step; a wide step keeps the rounding noise
-    (about eps * R / h) far below the dual-pair tolerance.
+    (about eps * R / h, with h = 1e-3 (1 + |a|)) far below the dual-pair
+    tolerance.
     """
     a = np.asarray(a, dtype=float)
     u = np.asarray(u, dtype=float)
-    h = step_scale * (1.0 + np.linalg.norm(a))
+    h = 1e-3 * (1.0 + np.linalg.norm(a))
     return (rm.circle_momentum(res, a + h * u) - rm.circle_momentum(res, a - h * u)) / (2.0 * h)
 
 
@@ -108,12 +109,12 @@ def minus_fiber_s_max(res, c):
     return lo / res.m
 
 
-def fiber_sample(res, c, count, seed=42, s_range=(0.1, 4.0)):
+def fiber_sample(res, c, count, seed=42):
     """Draw `count` phase points on the momentum fiber {circle_momentum = c}.
 
     Plus: the fiber is an ellipsoid-like 3-sphere; the two moduli are split
     by t uniform in (0.05, 0.95) with independent uniform phases.  Minus:
-    |a2|^2 is drawn uniform on s_range and the draw is rejected against the
+    |a2|^2 is drawn uniform on (0.1, 4.0) and the draw is rejected against the
     open dual-pair domain; when n < m the admissible s interval on a c > 0
     fiber is bounded and the window is clipped to it (shrunk into it when
     the default window misses it entirely).  For c > 0 every minus sample
@@ -130,7 +131,7 @@ def fiber_sample(res, c, count, seed=42, s_range=(0.1, 4.0)):
         ph2 = rng.uniform(0.0, 2.0 * np.pi, size=count)
         return ps.from_complex(np.sqrt(r1) * np.exp(1j * ph1),
                                np.sqrt(r2) * np.exp(1j * ph2))
-    s_lo, s_hi = s_range
+    s_lo, s_hi = 0.1, 4.0
     if res.n < res.m and c > 0.0:
         s_max = minus_fiber_s_max(res, c)
         if s_max <= s_lo:

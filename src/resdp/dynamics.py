@@ -11,7 +11,6 @@ public flows measure conservation, never assume it.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -63,61 +62,25 @@ def field_Z(res):
 
 @dataclass(frozen=True)
 class DownstairsHamiltonian:
-    """Linear Hamiltonian alpha*x + beta*y + gamma*z, optionally + h(Casimir)."""
+    """Linear Hamiltonian alpha*x + beta*y + gamma*z; its gradient is (alpha, beta, gamma)."""
 
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
-    casimir_fn: Optional[Callable] = None
-    casimir_dfn: Optional[Callable] = None
 
-    def value(self, res, p):
+    def value(self, p):
         p = np.asarray(p, dtype=float)
-        out = self.alpha * p[0] + self.beta * p[1] + self.gamma * p[2]
-        if self.casimir_fn is not None:
-            out += self.casimir_fn(casimir.solve_casimir(res, p).value)
-        return float(out)
-
-    def gradient(self, res, p):
-        p = np.asarray(p, dtype=float)
-        out = np.array([self.alpha, self.beta, self.gamma])
-        if self.casimir_fn is not None:
-            ev = casimir.solve_casimir(res, p)
-            out = out + self._dh(ev.value) * ev.gradient
-        return out
-
-    def _dh(self, c, step=1e-6):
-        if self.casimir_dfn is not None:
-            return self.casimir_dfn(c)
-        return (self.casimir_fn(c + step) - self.casimir_fn(c - step)) / (2.0 * step)
+        return float(self.alpha * p[0] + self.beta * p[1] + self.gamma * p[2])
 
 
 def pullback(res, ham):
-    """The downstairs Hamiltonian composed with the leaf map, with chain-rule gradient.
+    """The downstairs Hamiltonian composed with the leaf map, with closed-form gradient.
 
-    A linear Hamiltonian gets the closed-form gradient; one with a Casimir
-    term goes through the leaf-map Jacobian.
-    """
-
-    def fn(a):
-        return ham.value(res, rm.leaf_map(res, a))
-
-    if ham.casimir_fn is None:
-        return ScalarField(fn, _linear_pullback_gradient(res, ham), "pullback")
-
-    def grad(a):
-        p = rm.leaf_map(res, a)
-        return rm.leaf_map_jacobian(res, a).T @ ham.gradient(res, p)
-
-    return ScalarField(fn, grad, "pullback")
-
-
-def _linear_pullback_gradient(res, ham):
-    """Gradient of (alpha X + beta Y + gamma Z) o leaf_map in Python scalars.
-
-    With w = X - iY = a1^m conj(a2)^n, the X and Y rows of the Jacobian come
-    from pa = dw/da1 = m a1^(m-1) conj(a2)^n and pb = dw/dconj(a2) =
-    n a1^m conj(a2)^(n-1); the Z row is (n x1, n y1, -/+ m x2, -/+ m y2).
+    The gradient of (alpha X + beta Y + gamma Z) o leaf_map is evaluated in
+    Python scalars.  With w = X - iY = a1^m conj(a2)^n, the X and Y rows of
+    the Jacobian come from pa = dw/da1 = m a1^(m-1) conj(a2)^n and pb =
+    dw/dconj(a2) = n a1^m conj(a2)^(n-1); the Z row is (n x1, n y1, -/+ m x2,
+    -/+ m y2).
     """
     n, m = res.n, res.m
     alpha, beta, gamma = ham.alpha, ham.beta, ham.gamma
@@ -137,7 +100,7 @@ def _linear_pullback_gradient(res, ham):
             alpha * pb.imag + beta * pb.real + gz2 * y2,
         ])
 
-    return grad
+    return ScalarField(lambda a: ham.value(rm.leaf_map(res, a)), grad, "pullback")
 
 
 def circle_flow(res, a, t):
@@ -222,9 +185,7 @@ def _downstairs_states(res, hamiltonian, p0, dt, steps):
         raise OffDomain("initial point outside the structure domain")
     mn = float(res.mn)
     n, m = res.n, res.m
-    linear_grad = None
-    if hamiltonian.casimir_fn is None:
-        linear_grad = (hamiltonian.alpha, hamiltonian.beta, hamiltonian.gamma)
+    hx, hy, hz = hamiltonian.alpha, hamiltonian.beta, hamiltonian.gamma
 
     def rhs(t, p):
         x, y, z = p.tolist()
@@ -235,10 +196,6 @@ def _downstairs_states(res, hamiltonian, p0, dt, steps):
         vx = 2.0 * mn * x
         vy = 2.0 * mn * y
         vz = -mn * rho2 * (m / (c + z) - n / (c - z))
-        if linear_grad is not None:
-            hx, hy, hz = linear_grad
-        else:
-            hx, hy, hz = hamiltonian.gradient(res, p)
         return np.array([vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx])
 
     def accept(p, k):
@@ -261,7 +218,7 @@ def flow_downstairs(res, hamiltonian, p0, dt, total_time):
     out = _downstairs_states(res, hamiltonian, p0, dt, steps)
     times = dt * np.arange(steps + 1)
     cvals = np.array([casimir.solve_casimir(res, q).value for q in out])
-    hvals = np.array([hamiltonian.value(res, q) for q in out])
+    hvals = np.array([hamiltonian.value(q) for q in out])
     return Trajectory(times=times, states=out, conserved={"C": cvals, "H": hvals})
 
 

@@ -20,40 +20,24 @@ import numpy as np
 from . import phase_space as ps
 from .errors import FiberMismatch, NotInImage, SingularEmbed
 
-SU2 = "SU2"
-SU11 = "SU11"
-
 _GROUP_TOL = 1e-12
 _PATTERN_TOL = 1e-10
 
 
-def sign_for_tag(tag):
-    if tag == SU2:
-        return ps.PLUS
-    if tag == SU11:
-        return ps.MINUS
-    raise ValueError(f"tag must be 'SU2' or 'SU11', got {tag!r}")
-
-
-def tag_for_sign(sign):
-    ps.check_sign(sign)
-    return SU2 if sign == ps.PLUS else SU11
-
-
 @dataclass(frozen=True)
 class GroupElement:
-    """A 2x2 complex matrix together with its group tag."""
+    """A 2x2 complex matrix with the signature of its group: plus SU(2), minus SU(1,1)."""
 
     matrix: np.ndarray
-    tag: str
+    sign: str
 
     def inverse(self):
-        return GroupElement(_inv2(self.matrix), self.tag)
+        return GroupElement(_inv2(self.matrix), self.sign)
 
     def __matmul__(self, other):
-        if self.tag != other.tag:
+        if self.sign != other.sign:
             raise ValueError("cannot multiply elements of different groups")
-        return GroupElement(self.matrix @ other.matrix, self.tag)
+        return GroupElement(self.matrix @ other.matrix, self.sign)
 
 
 def _inv2(mat):
@@ -62,9 +46,9 @@ def _inv2(mat):
     return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
 
 
-def identity(tag):
-    sign_for_tag(tag)
-    return GroupElement(np.eye(2, dtype=complex), tag)
+def identity(sign):
+    ps.check_sign(sign)
+    return GroupElement(np.eye(2, dtype=complex), sign)
 
 
 def group_defect(g):
@@ -72,7 +56,7 @@ def group_defect(g):
     mat = np.asarray(g.matrix, dtype=complex)
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     det_defect = abs(det - 1.0)
-    if g.tag == SU2:
+    if g.sign == ps.PLUS:
         shape = max(abs(mat[1, 0] + np.conj(mat[0, 1])), abs(mat[1, 1] - np.conj(mat[0, 0])))
         gram = np.eye(2)
     else:
@@ -82,17 +66,10 @@ def group_defect(g):
     return float(max(det_defect, shape, form))
 
 
-def validate(g, tol=_GROUP_TOL):
-    defect = group_defect(g)
-    if defect > tol:
-        raise ValueError(f"matrix violates {g.tag} constraints (defect {defect:.3e})")
-    return g
-
-
 def su2_element(alpha, beta):
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     alpha, beta = alpha / norm, beta / norm
-    return GroupElement(np.array([[alpha, beta], [-np.conj(beta), np.conj(alpha)]]), SU2)
+    return GroupElement(np.array([[alpha, beta], [-np.conj(beta), np.conj(alpha)]]), ps.PLUS)
 
 
 def su11_element(alpha, beta):
@@ -100,20 +77,19 @@ def su11_element(alpha, beta):
     if scale <= 0:
         raise ValueError("need |alpha|^2 - |beta|^2 > 0")
     alpha, beta = alpha / np.sqrt(scale), beta / np.sqrt(scale)
-    return GroupElement(np.array([[alpha, beta], [np.conj(beta), np.conj(alpha)]]), SU11)
+    return GroupElement(np.array([[alpha, beta], [np.conj(beta), np.conj(alpha)]]), ps.MINUS)
 
 
-def random_element(tag, rng):
-    """Draw a Haar-ish random SU(2) element or a moderate SU(1,1) boost."""
-    if tag == SU2:
+def random_element(sign, rng):
+    """Draw a Haar-ish random SU(2) element (plus) or a moderate SU(1,1) boost (minus)."""
+    ps.check_sign(sign)
+    if sign == ps.PLUS:
         vec = rng.normal(size=4)
         vec /= np.linalg.norm(vec)
         return su2_element(vec[0] + 1j * vec[1], vec[2] + 1j * vec[3])
-    if tag == SU11:
-        t = rng.uniform(0.0, 1.2)
-        phi, psi = rng.uniform(0.0, 2 * np.pi, size=2)
-        return su11_element(np.cosh(t) * np.exp(1j * phi), np.sinh(t) * np.exp(1j * psi))
-    raise ValueError(f"unknown tag {tag!r}")
+    t = rng.uniform(0.0, 1.2)
+    phi, psi = rng.uniform(0.0, 2 * np.pi, size=2)
+    return su11_element(np.cosh(t) * np.exp(1j * phi), np.sinh(t) * np.exp(1j * psi))
 
 
 def lie_algebra_matrix(sign, v):
@@ -125,7 +101,7 @@ def lie_algebra_matrix(sign, v):
     return np.array([[1j * v3, 1j * v1 + v2], [-1j * v1 + v2, -1j * v3]])
 
 
-def lie_algebra_components(sign, xi, tol=_PATTERN_TOL):
+def lie_algebra_components(sign, xi):
     """Invert lie_algebra_matrix; raises NotInImage on pattern mismatch."""
     ps.check_sign(sign)
     xi = np.asarray(xi, dtype=complex)
@@ -135,7 +111,7 @@ def lie_algebra_components(sign, xi, tol=_PATTERN_TOL):
     rebuilt = lie_algebra_matrix(sign, (v1, v2, v3))
     defect = np.max(np.abs(xi - rebuilt))
     scale = 1.0 + np.max(np.abs(xi))
-    if defect > tol * scale:
+    if defect > _PATTERN_TOL * scale:
         raise NotInImage(f"matrix does not match the {sign} algebra pattern "
                          f"(defect {defect:.3e})")
     return np.array([v1, v2, v3])
@@ -149,43 +125,42 @@ def act(g, a):
                            mat[1, 0] * a1 + mat[1, 1] * a2)
 
 
-def point_matrix(a, tag):
+def point_matrix(a, sign):
     """The matrix with first column a whose columns span the fiber frame.
 
-    For SU2 it is [[a1, -conj(a2)], [a2, conj(a1)]] with determinant
-    |a1|^2 + |a2|^2; for SU11 it is [[a1, conj(a2)], [a2, conj(a1)]] with
-    determinant |a1|^2 - |a2|^2.
+    For plus (SU(2)) it is [[a1, -conj(a2)], [a2, conj(a1)]] with determinant
+    |a1|^2 + |a2|^2; for minus (SU(1,1)) it is [[a1, conj(a2)], [a2, conj(a1)]]
+    with determinant |a1|^2 - |a2|^2.
     """
+    ps.check_sign(sign)
     a1, a2 = ps.to_complex(a)
     a1, a2 = complex(a1), complex(a2)
-    if tag == SU2:
+    if sign == ps.PLUS:
         return np.array([[a1, -np.conj(a2)], [a2, np.conj(a1)]])
-    if tag == SU11:
-        return np.array([[a1, np.conj(a2)], [a2, np.conj(a1)]])
-    raise ValueError(f"unknown tag {tag!r}")
+    return np.array([[a1, np.conj(a2)], [a2, np.conj(a1)]])
 
 
-def transitive_element(a, b, tag, tol=_GROUP_TOL):
+def transitive_element(a, b, sign):
     """Group element mapping a to b along their common fiber.
 
-    SU2 requires equal positive Hermitian norms; SU11 requires equal nonzero
-    values of |a1|^2 - |a2|^2 (the embedding is singular on the null fiber,
-    which is refused).
+    SU(2) (plus) requires equal positive Hermitian norms; SU(1,1) (minus)
+    requires equal nonzero values of |a1|^2 - |a2|^2 (the embedding is
+    singular on the null fiber, which is refused).
     """
-    sign = sign_for_tag(tag)
+    ps.check_sign(sign)
     fa = float(np.real(ps.hermitian(sign, a, a)))
     fb = float(np.real(ps.hermitian(sign, b, b)))
     scale = 1.0 + abs(fa) + abs(fb)
-    if abs(fa - fb) > tol * scale:
+    if abs(fa - fb) > _GROUP_TOL * scale:
         raise FiberMismatch(f"fiber levels differ: {fa} vs {fb}")
-    if tag == SU2:
-        if fa <= tol:
-            raise FiberMismatch("SU2 transitivity needs a positive fiber level")
+    if sign == ps.PLUS:
+        if fa <= _GROUP_TOL:
+            raise FiberMismatch("SU(2) transitivity needs a positive fiber level")
     else:
-        if abs(fa) <= tol * scale:
+        if abs(fa) <= _GROUP_TOL * scale:
             raise SingularEmbed("null fiber |a1| = |a2|: embedding matrix is singular")
-    g = point_matrix(b, tag) @ _inv2(point_matrix(a, tag))
-    return GroupElement(g, tag)
+    g = point_matrix(b, sign) @ _inv2(point_matrix(a, sign))
+    return GroupElement(g, sign)
 
 
 def adjoint(sign, g, v):

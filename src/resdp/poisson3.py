@@ -40,7 +40,7 @@ class ScalarField:
     """A scalar function on R^d with an optional analytic gradient.
 
     Without one, the gradient is a central difference with step
-    step_scale * (1 + |p|).
+    1e-6 * (1 + |p|).
     """
 
     fn: Callable
@@ -50,11 +50,11 @@ class ScalarField:
     def __call__(self, p):
         return float(self.fn(np.asarray(p, dtype=float)))
 
-    def gradient(self, p, step_scale=1e-6):
+    def gradient(self, p):
         p = np.asarray(p, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(p), dtype=float)
-        return central_difference(self.fn, p, step_scale * (1.0 + np.linalg.norm(p)))
+        return central_difference(self.fn, p, 1e-6 * (1.0 + np.linalg.norm(p)))
 
 
 def coordinate_fields():
@@ -115,29 +115,29 @@ def _fd_curl(structure, p, h):
     return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
 
 
-def integrability_defect(structure, p, step_scale=1e-5):
+def integrability_defect(structure, p):
     """|v . curl v| with the curl from Richardson-extrapolated central FD.
 
-    Central differences at steps h and h/2 (h = step_scale * (1 + |p|))
+    Central differences at steps h and h/2 (h = 1e-5 * (1 + |p|))
     combine to cancel the leading truncation term, which matters for fields
     with nearby poles.
     """
     p = np.asarray(p, dtype=float)
     v = structure.field_at(p)
-    h = step_scale * (1.0 + np.linalg.norm(p))
+    h = 1e-5 * (1.0 + np.linalg.norm(p))
     coarse = _fd_curl(structure, p, h)
     fine = _fd_curl(structure, p, 0.5 * h)
     curl = (4.0 * fine - coarse) / 3.0
     return float(abs(v @ curl))
 
 
-def jacobi_defect(structure, f, g, h, p, step=1e-4):
-    """|{{F,G},H} + {{G,H},F} + {{H,F},G}| with outer gradients by FD (fixed step)."""
+def jacobi_defect(structure, f, g, h, p):
+    """|{{F,G},H} + {{G,H},F} + {{H,F},G}| with outer gradients by FD (fixed step 1e-4)."""
     p = np.asarray(p, dtype=float)
     v = structure.field_at(p)
 
     def outer(a, b, c):
-        grad_inner = central_difference(lambda q: bracket(structure, a, b, q), p, step)
+        grad_inner = central_difference(lambda q: bracket(structure, a, b, q), p, 1e-4)
         return float(v @ np.cross(grad_inner, c.gradient(p)))
 
     return float(abs(outer(f, g, h) + outer(g, h, f) + outer(h, f, g)))

@@ -45,6 +45,15 @@ class VerificationReport:
         }
 
 
+# Fiber levels of the dual-pair and leaf-correspondence checks.
+_LEVELS = (0.5, 1.5, 3.0)
+
+
+def _tol(tol, default):
+    """The caller's tolerance, or the check's default when none is given."""
+    return default if tol is None else tol
+
+
 def _assemble(check, res, samples, seed, details):
     worst = 0.0
     for d in details:
@@ -59,6 +68,8 @@ def _assemble(check, res, samples, seed, details):
 
 def sample_in_domain(res, count, rng, lo=0.15, hi=1.5):
     """Random in-domain phase points with both moduli in [lo, hi]."""
+    if count < 1:
+        raise ValueError(f"need at least one sample point, got {count}")
     out = np.empty((0, 4))
     while len(out) < count:
         batch = max(count - len(out), 64)
@@ -80,16 +91,16 @@ def check_identity(res, samples=10000, seed=42, tol=None):
     scale = 1.0 + norms ** (2 * (res.n + res.m))
     kummer = np.max(rm.kummer_identity_defect(res, a) / scale)
     details = [{"name": "kummer_product", "defect": float(kummer),
-                "tolerance": tol if tol else 1e-10}]
+                "tolerance": _tol(tol, 1e-10)}]
     if res.n == 1 and res.m == 1:
         if res.sign == PLUS:
             details.append({"name": "hopf_sphere", "defect":
                             float(np.max(rm.hopf_identity_defect(a))),
-                            "tolerance": tol if tol else 1e-12})
+                            "tolerance": _tol(tol, 1e-12)})
         else:
             details.append({"name": "hyperbolic_corrected", "defect":
                             float(np.max(rm.hyperbolic_identity_defect(a))),
-                            "tolerance": tol if tol else 1e-12})
+                            "tolerance": _tol(tol, 1e-12)})
             # The widely printed form X^2+Y^2-Z^2 = R^2 is off by the sign of
             # R^2; pin the corrected statement X^2+Y^2-Z^2 = -R^2 instead.
             p = rm.leaf_map(res, a)
@@ -97,7 +108,7 @@ def check_identity(res, samples=10000, seed=42, tol=None):
             printed = p[..., 0] ** 2 + p[..., 1] ** 2 - p[..., 2] ** 2
             details.append({"name": "erratum_printed_form", "defect":
                             float(np.max(np.abs(printed + r ** 2))),
-                            "tolerance": tol if tol else 1e-12})
+                            "tolerance": _tol(tol, 1e-12)})
     return _assemble("identity", res, samples, seed, details)
 
 
@@ -105,7 +116,7 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
     """Closed-form oracles, composition with the leaf map, gradient vs FD."""
     rng = np.random.default_rng(seed)
     details = []
-    rel_tol = tol if tol else 1e-12
+    rel_tol = _tol(tol, 1e-12)
 
     if res.sign == PLUS:
         rho2 = rng.uniform(0.05, 4.0, size=max(samples // 4, 16))
@@ -150,7 +161,7 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
         worst_resid = max(worst_resid, ev.residual / bound)
         used += 1
     details.append({"name": "composition_recovers_momentum", "defect": worst_comp,
-                    "tolerance": tol if tol else 1e-10})
+                    "tolerance": _tol(tol, 1e-10)})
     details.append({"name": "solver_residual_vs_bound", "defect": worst_resid,
                     "tolerance": 1.0})
 
@@ -162,31 +173,35 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
                                          1e-6 * (1.0 + np.linalg.norm(p)))
         worst_grad = max(worst_grad, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
     details.append({"name": "gradient_vs_fd", "defect": worst_grad,
-                    "tolerance": tol if tol else 1e-6})
+                    "tolerance": _tol(tol, 1e-6)})
     return _assemble("casimir", res, samples, seed, details)
 
 
-def _leaf_points(res, count, rng, margin=0.8):
+def _leaf_points(res, count, rng):
     """In-domain leaf points obtained by projecting in-domain phase points.
 
-    Points too close to the domain boundary are dropped so finite-difference
-    stencils of the callers stay inside.
+    Points too close to the domain boundary (bound margin 0.8) are dropped so
+    finite-difference stencils of the callers stay inside.
     """
     a = sample_in_domain(res, count, rng, lo=0.35, hi=1.4)
     pts = rm.leaf_map(res, a)
     keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-2
-    return pts[keep & casimir.in_leaf_domain(res, pts, bound_margin=margin)]
+    return pts[keep & casimir.in_leaf_domain(res, pts, bound_margin=0.8)]
 
 
-def sample_leaf_points(res, count, seed, field_cap=8.0):
+def sample_leaf_points(res, count, seed):
     """Leaf points from fiber levels, filtered to moderate field scale.
 
     The fiber level is scaled per cell (c ~ (n^m m^n)^(1/(n+m))) so the
     shape radius stays of order one; fixed-step finite differences on the
     structure field are only meaningful where the field and the Casimir
-    gradient are of desk scale, so points violating that (near poles, thin
-    admissible bands of strongly asymmetric orders) are rejected.
+    gradient are of desk scale (norm at most 8), so points violating that
+    (near poles, thin admissible bands of strongly asymmetric orders) are
+    rejected.  Raises EmptyFiber when 300 * count draws yield fewer than
+    `count` points.
     """
+    if count < 1:
+        raise ValueError(f"need at least one leaf point, got {count}")
     rng = np.random.default_rng(seed)
     base = float(res.n) ** res.m * float(res.m) ** res.n
     pts = []
@@ -203,9 +218,11 @@ def sample_leaf_points(res, count, seed, field_cap=8.0):
             field = res.mn * casimir.leaf_field(res, p)
         except ResdpError:
             continue
-        if np.linalg.norm(field) > field_cap or np.linalg.norm(ev.gradient) > field_cap:
+        if np.linalg.norm(field) > 8.0 or np.linalg.norm(ev.gradient) > 8.0:
             continue
         pts.append(p)
+    if len(pts) < count:
+        raise EmptyFiber(f"found {len(pts)}/{count} leaf points after {attempts} draws")
     return np.array(pts)
 
 
@@ -214,7 +231,7 @@ def check_bracket_table(res, samples=1000, seed=42, tol=None):
     rng = np.random.default_rng(seed)
     pts = sample_in_domain(res, samples, rng, lo=0.4, hi=1.4)
     poisson = dynamics.poisson_tensor(res.sign)
-    tolerance = tol if tol else 1e-7
+    tolerance = _tol(tol, 1e-7)
     worst = {"yz": 0.0, "zx": 0.0, "xy": 0.0}
     mn = res.mn
     for a in pts:
@@ -236,15 +253,15 @@ def check_bracket_table(res, samples=1000, seed=42, tol=None):
 
 def check_dual_pair(res, samples=300, seed=42, tol=None):
     """Dual-pair defects over fiber samples at momentum levels 0.5, 1.5 and 3."""
-    per_level = max(1, samples // 3)
+    per_level = max(1, samples // len(_LEVELS))
     worst_res, worst_dist, total = 0.0, 0.0, 0
-    for i, c in enumerate((0.5, 1.5, 3.0)):
+    for i, c in enumerate(_LEVELS):
         for a in dual_pair.fiber_sample(res, c, per_level, seed=seed + i):
             kernel_residual, distance = dual_pair.dual_pair_defect(res, a)
             worst_res = max(worst_res, kernel_residual)
             worst_dist = max(worst_dist, distance)
             total += 1
-    tolerance = tol if tol else 1e-9
+    tolerance = _tol(tol, 1e-9)
     details = [
         {"name": "kernel_residual", "defect": worst_res, "tolerance": tolerance},
         {"name": "subspace_distance", "defect": worst_dist, "tolerance": tolerance},
@@ -252,13 +269,13 @@ def check_dual_pair(res, samples=300, seed=42, tol=None):
     return _assemble("dual-pair", res, total, seed, details)
 
 
-def check_leaf_correspondence(res, samples=300, seed=42, tol=None, levels=(0.5, 1.5, 3.0)):
+def check_leaf_correspondence(res, samples=300, seed=42, tol=None):
     details = []
-    per_level = max(1, samples // len(levels))
-    for i, c in enumerate(levels):
+    per_level = max(1, samples // len(_LEVELS))
+    for i, c in enumerate(_LEVELS):
         out = dual_pair.leaf_correspondence_check(res, c, per_level, seed=seed + i)
         details.append({"name": f"level_c_{c:g}", "defect": out["max_deviation"],
-                        "tolerance": (tol if tol else 1e-9) * (1.0 + c)})
+                        "tolerance": _tol(tol, 1e-9) * (1.0 + c)})
     return _assemble("leaf-correspondence", res, samples, seed, details)
 
 
@@ -267,7 +284,7 @@ def check_integrability(res, samples=50, seed=42, tol=None):
     pts = sample_leaf_points(res, samples, seed)
     worst = max(poisson3.integrability_defect(structure, p) for p in pts)
     details = [{"name": "helicity", "defect": float(worst),
-                "tolerance": tol if tol else 1e-8}]
+                "tolerance": _tol(tol, 1e-8)}]
     return _assemble("integrability", res, len(pts), seed, details)
 
 
@@ -277,28 +294,26 @@ def check_jacobi(res, samples=20, seed=42, tol=None):
     pts = sample_leaf_points(res, samples, seed)
     worst = max(poisson3.jacobi_defect(structure, fx, fy, fz, p) for p in pts)
     details = [{"name": "jacobi_cyclic_sum", "defect": float(worst),
-                "tolerance": tol if tol else 1e-5}]
+                "tolerance": _tol(tol, 1e-5)}]
     return _assemble("jacobi", res, len(pts), seed, details)
 
 
 def check_equivariance(res, samples=1000, seed=42, tol=None):
     rng = np.random.default_rng(seed)
-    tag = ga.tag_for_sign(res.sign)
     worst = 0.0
     for _ in range(samples):
-        g = ga.random_element(tag, rng)
+        g = ga.random_element(res.sign, rng)
         a = rng.uniform(-1.5, 1.5, size=4)
         v = rng.normal(size=3)
         worst = max(worst, ga.equivariance_defect(res.sign, g, a, v))
     details = [{"name": "momentum_equivariance", "defect": worst,
-                "tolerance": tol if tol else 1e-12}]
+                "tolerance": _tol(tol, 1e-12)}]
     return _assemble("equivariance", res, samples, seed, details)
 
 
 def check_transitivity(res, samples=1000, seed=42, tol=None):
     rng = np.random.default_rng(seed)
-    tag = ga.tag_for_sign(res.sign)
-    tolerance = tol if tol else 1e-12
+    tolerance = _tol(tol, 1e-12)
     worst_map, worst_group = 0.0, 0.0
     count = 0
     while count < samples:
@@ -309,9 +324,9 @@ def check_transitivity(res, samples=1000, seed=42, tol=None):
                 continue
         elif np.linalg.norm(a) < 0.1:
             continue
-        g0 = ga.random_element(tag, rng)
+        g0 = ga.random_element(res.sign, rng)
         b = ga.act(g0, a)
-        g = ga.transitive_element(a, b, tag)
+        g = ga.transitive_element(a, b, res.sign)
         worst_map = max(worst_map, float(np.max(np.abs(ga.act(g, a) - b))))
         worst_group = max(worst_group, ga.group_defect(g))
         count += 1
@@ -333,17 +348,18 @@ def check_conservation(res, samples=200, seed=42, tol=None):
         report = dynamics.conservation_report(res, a0, t_grid)
         worst = max(worst, report["max"] / scale)
     details = [{"name": "circle_flow_invariants", "defect": worst,
-                "tolerance": tol if tol else 1e-12}]
+                "tolerance": _tol(tol, 1e-12)}]
     return _assemble("conservation", res, samples, seed, details)
 
 
-def _pushforward_points(res, count, seed, c=1.5):
-    """Fiber samples kept well inside the domain and away from leaf poles.
+def _pushforward_points(res, count, seed):
+    """Fiber samples at momentum 1.5, kept well inside the domain and away from leaf poles.
 
     For n < m minus resonances the admissible fiber band itself is thin, so
     the pole-gap floor adapts to what the domain allows.  Raises EmptyFiber
     when 50 rounds of sampling yield fewer than `count` points.
     """
+    c = 1.5
     gap_floor = 0.3 * c
     domain_margin = 0.5
     if res.sign == MINUS and res.n < res.m:
@@ -369,7 +385,8 @@ def _pushforward_points(res, count, seed, c=1.5):
     return out
 
 
-def check_pushforward(res, samples=3, seed=42, tol=None, dt=1e-3, total_time=1.0):
+def check_pushforward(res, samples=3, seed=42, tol=None):
+    """Upstairs vs downstairs flows over T = 1 at dt = 1e-3."""
     if res.sign == MINUS and res.n < res.m:
         # The admissible band of these cells is thin; only rotations about
         # the z axis are guaranteed to keep trajectories inside it.
@@ -384,9 +401,9 @@ def check_pushforward(res, samples=3, seed=42, tol=None, dt=1e-3, total_time=1.0
     worst = 0.0
     for i, a0 in enumerate(points):
         ham = hams[i % len(hams)]
-        worst = max(worst, dynamics.pushforward_defect(res, ham, a0, dt, total_time))
+        worst = max(worst, dynamics.pushforward_defect(res, ham, a0, 1e-3, 1.0))
     details = [{"name": "flow_commutation", "defect": worst,
-                "tolerance": tol if tol else 1e-6}]
+                "tolerance": _tol(tol, 1e-6)}]
     return _assemble("pushforward", res, len(points), seed, details)
 
 
@@ -420,13 +437,13 @@ _ALL_SAMPLES = {
 }
 
 
-def run_all(seed=42, n_range=(1, 2, 3, 4), m_range=(1, 2, 3, 4)):
-    """Every check over the (n, m) grid, both signs; sorted deterministically."""
+def run_all(seed=42):
+    """Every check over the n, m <= 4 grid, both signs; sorted deterministically."""
     reports = []
     for name in sorted(CHECKS):
         fn = CHECKS[name]
-        for n in n_range:
-            for m in m_range:
+        for n in (1, 2, 3, 4):
+            for m in (1, 2, 3, 4):
                 for sign in (PLUS, MINUS):
                     res = Resonance(n, m, sign)
                     reports.append(fn(res, samples=_ALL_SAMPLES[name], seed=seed))

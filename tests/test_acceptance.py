@@ -194,7 +194,7 @@ def test_4_dual_pair_suite():
 def test_5_group_suite():
     t0 = time.perf_counter()
     worst_round, worst_equi, worst_form = 0.0, 0.0, 0.0
-    for sign, tag in (("plus", "SU2"), ("minus", "SU11")):
+    for sign in ("plus", "minus"):
         rng = np.random.default_rng(5)
         done = 0
         while done < 1000:
@@ -202,13 +202,13 @@ def test_5_group_suite():
             level = float(np.real(ps.hermitian(sign, a, a)))
             if abs(level) < 0.1:
                 continue
-            g0 = ga.random_element(tag, rng)
+            g0 = ga.random_element(sign, rng)
             b = ga.act(g0, a)
-            g = ga.transitive_element(a, b, tag)
+            g = ga.transitive_element(a, b, sign)
             worst_round = max(worst_round, float(np.max(np.abs(ga.act(g, a) - b))))
             done += 1
         for _ in range(1000):
-            g = ga.random_element(tag, rng)
+            g = ga.random_element(sign, rng)
             a = rng.uniform(-1.5, 1.5, size=4)
             v = rng.normal(size=3)
             worst_equi = max(worst_equi, ga.equivariance_defect(sign, g, a, v))
@@ -268,8 +268,7 @@ def test_6_dynamics_suite():
     for sign in ("plus", "minus"):
         for (n, m) in ((1, 1), (2, 1), (3, 2)):
             res = Resonance(n, m, sign)
-            rep = vf.check_pushforward(res, samples=2, seed=62, dt=1e-3,
-                                       total_time=1.0)
+            rep = vf.check_pushforward(res, samples=2, seed=62)
             assert rep.samples == 2, res
             worst_push = max(worst_push, rep.details[0]["defect"])
     criterion("6c pushforward commutation", worst_push < 1e-6,

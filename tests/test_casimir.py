@@ -27,6 +27,16 @@ def shape_equation(res, p, c):
     return x * x + y * y - casimir.kummer_product(res, c, z)
 
 
+def field_over_gradient(res, p):
+    """The factor s with leaf_field = s * gradient, by projection onto the gradient.
+
+    Equals (x^2+y^2)(m/(C+z) + n/(C-z)) at the solved level: positive for the
+    bounded family, nonvanishing but of either sign for the unbounded one.
+    """
+    g = casimir.solve_casimir(res, p).gradient
+    return casimir.leaf_field(res, p) @ g / (g @ g)
+
+
 class TestShapeEquations:
     def test_bounded_examples(self):
         assert shape_equation(Resonance(1, 1), (1, 0, 0), 1) == 0.0
@@ -265,8 +275,8 @@ class TestLeafField:
         assert np.allclose(got, [1.2, 0.0, -2.0], atol=1e-12)
 
     def test_scaling_factor_examples(self):
-        assert casimir.scaling_factor(Resonance(1, 1), [1.0, 0.0, 0.0]) == pytest.approx(2.0)
-        got = casimir.scaling_factor(Resonance(1, 1, "minus"), [0.6, 0.0, 1.0])
+        assert field_over_gradient(Resonance(1, 1), [1.0, 0.0, 0.0]) == pytest.approx(2.0)
+        got = field_over_gradient(Resonance(1, 1, "minus"), [0.6, 0.0, 1.0])
         assert got == pytest.approx(-1.6, rel=1e-12)
 
     def test_scaling_factor_positive_on_bounded_family(self):
@@ -280,7 +290,7 @@ class TestLeafField:
             p = rm.leaf_map(res, a)
             if p[0] ** 2 + p[1] ** 2 < 1e-3:
                 continue
-            assert casimir.scaling_factor(res, p) > 0.0
+            assert field_over_gradient(res, p) > 0.0
             count += 1
 
     def test_field_collinear_with_gradient(self):
@@ -299,7 +309,7 @@ class TestLeafField:
                 grad = casimir.solve_casimir(res, p).gradient
                 cross = np.linalg.norm(np.cross(v, grad))
                 assert cross < 1e-9 * np.linalg.norm(v) * np.linalg.norm(grad)
-                factor = casimir.scaling_factor(res, p)
+                factor = field_over_gradient(res, p)
                 assert np.allclose(v, factor * grad, rtol=1e-9, atol=1e-12)
                 done += 1
 

@@ -64,6 +64,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert value in err and "seed" in err.lower()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_tolerance_not_finite_positive_rejected(self, value, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main(["verify", "identity", "--n", "1", "--m", "1", "--samples", "50",
+                     "--tol", value, "--json", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "identity", "--samples", "10", "--seed", "-1"]) == 2
         capsys.readouterr()

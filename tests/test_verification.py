@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,35 @@ class TestPushforwardPoints:
         monkeypatch.setattr(dp, "fiber_sample", lambda res, c, count, seed: near_axis)
         with pytest.raises(EmptyFiber, match="found 0/2"):
             vf._pushforward_points(Resonance(2, 1), 2, seed=1)
+
+    def test_leaf_point_shortfall_raises_with_count(self, monkeypatch):
+        # Same near-axis fiber point: its leaf image sits on the z axis, so
+        # every draw is rejected and the sampler must not return short.
+        near_axis = np.array([[1.7, 0.0, 0.0, 0.0]])
+        monkeypatch.setattr(dp, "fiber_sample", lambda res, c, count, seed: near_axis)
+        with pytest.raises(EmptyFiber, match="found 0/2"):
+            vf.sample_leaf_points(Resonance(2, 1), 2, seed=1)
+
+    @pytest.mark.parametrize("check", [vf.check_integrability, vf.check_jacobi,
+                                       vf.check_identity])
+    def test_no_samples_is_a_clear_error(self, check):
+        with pytest.raises(ValueError, match="got 0"):
+            check(Resonance(2, 1), samples=0)
+
+
+def test_every_check_takes_exactly_res_samples_seed_tol():
+    # The CLI and the benchmark call every check as check(res, samples=, seed=, tol=).
+    for name, check in vf.CHECKS.items():
+        assert list(inspect.signature(check).parameters) == ["res", "samples", "seed", "tol"], name
+
+
+@pytest.mark.parametrize("tol,want", [(None, [1e-10, 1e-12, 1e-12]),
+                                      (1e-300, [1e-300] * 3), (0.0, [0.0] * 3)])
+def test_explicit_tolerance_reaches_every_detail(tol, want):
+    # Only None selects the defaults; an explicit 0.0 is a tolerance like any other.
+    report = vf.check_identity(Resonance(1, 1, "minus"), samples=50, seed=1, tol=tol)
+    assert [d["tolerance"] for d in report.details] == want
+    assert report.passed == (tol is None)
 
 
 class TestSampleLeafPoints:
