@@ -95,6 +95,11 @@ def _eval(n, m, sm, rho2, z, r):
     return val, dval
 
 
+def _kummer_dz(res, c, z):
+    """dK/dz of the Kummer product at level c: _eval with level and height swapped."""
+    return _eval(res.n, res.m, -res.m if res.sign == PLUS else res.m, 0.0, c, z)[1]
+
+
 def _newton_bisect(evaluate, lo, hi, increasing):
     """Bracketed Newton with bisection fallback on a single simple root.
 
@@ -156,13 +161,6 @@ def _solve_plus(n, m, rho2, z):
 
 def _solve_minus(n, m, rho2, z):
     return _newton_bisect(lambda r: _eval(n, m, -m, rho2, z, r), 0.0, abs(z), False)
-
-
-def _solve_value(res, rho2, z):
-    """Root only, no diagnostics; caller guarantees domain membership."""
-    if res.sign == PLUS:
-        return _solve_plus(res.n, res.m, rho2, z)[0]
-    return _solve_minus(res.n, res.m, rho2, z)[0]
 
 
 def solve_casimir(res, p):

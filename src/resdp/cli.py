@@ -154,6 +154,9 @@ def _cmd_verify(args):
     if args.tol is not None and not 0.0 < args.tol < np.inf:
         raise BadParams(f"need a finite --tol > 0, got {args.tol}")
     if args.what == "all":
+        if args.samples is not None or args.tol is not None:
+            raise BadParams("verify all runs its own sample counts and tolerances; "
+                            "drop --samples and --tol")
         reports = verification.run_all(seed=seed)
         for rep in reports:
             _print_report(rep)
@@ -168,11 +171,12 @@ def _cmd_verify(args):
             }, args.json)
         print(f"verify all: {'PASS' if ok else 'FAIL'} ({len(reports)} reports)")
         return 0 if ok else 1
-    if args.samples < 1:
-        raise BadParams(f"need --samples >= 1, got {args.samples}")
+    samples = 1000 if args.samples is None else args.samples
+    if samples < 1:
+        raise BadParams(f"need --samples >= 1, got {samples}")
     res = _resonance(args)
     check = verification.CHECKS[args.what]
-    report = check(res, samples=args.samples, seed=seed, tol=args.tol)
+    report = check(res, samples=samples, seed=seed, tol=args.tol)
     _print_report(report)
     if args.json:
         _write_report(report.to_dict(), args.json)
@@ -228,7 +232,8 @@ def _parser():
     p = sub.add_parser("verify", help="run a verification check")
     p.add_argument("what", choices=sorted(verification.CHECKS) + ["all"])
     _add_resonance_flags(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample count of a single check (default 1000)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", default=None)

@@ -62,7 +62,7 @@ def field_Z(res):
 
 @dataclass(frozen=True)
 class DownstairsHamiltonian:
-    """Linear Hamiltonian alpha*x + beta*y + gamma*z; its gradient is (alpha, beta, gamma)."""
+    """Linear Hamiltonian alpha*x + beta*y + gamma*z, with value() broadcast over (..., 3)."""
 
     alpha: float = 0.0
     beta: float = 0.0
@@ -70,7 +70,7 @@ class DownstairsHamiltonian:
 
     def value(self, p):
         p = np.asarray(p, dtype=float)
-        return float(self.alpha * p[0] + self.beta * p[1] + self.gamma * p[2])
+        return self.alpha * p[..., 0] + self.beta * p[..., 1] + self.gamma * p[..., 2]
 
 
 def pullback(res, ham):
@@ -115,11 +115,7 @@ def poisson_tensor(sign):
 
 
 def canonical_bracket(sign, f, g, a):
-    """Canonical bracket of two phase-space fields at the point a."""
-    if not isinstance(f, ScalarField):
-        f = ScalarField(f)
-    if not isinstance(g, ScalarField):
-        g = ScalarField(g)
+    """Canonical bracket of two ScalarFields at the point a."""
     a = np.asarray(a, dtype=float)
     return float(f.gradient(a) @ poisson_tensor(sign) @ g.gradient(a))
 
@@ -179,23 +175,25 @@ def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
 
 
 def _downstairs_states(res, hamiltonian, p0, dt, steps):
-    """RK4 states of v x grad H from p0, with the domain and blowup guards."""
+    """RK4 states of mn grad G x grad H from p0, with the domain and blowup guards.
+
+    G = x^2 + y^2 - K(C0, z) is the Kummer polynomial of the leaf through p0,
+    so C0 is solved once and mn grad G is the structure field on that leaf.
+    """
     p0 = np.asarray(p0, dtype=float)
     if not casimir.in_leaf_domain(res, p0, _AXIS_MARGIN):
         raise OffDomain("initial point outside the structure domain")
+    c0 = casimir.solve_casimir(res, p0).value
     mn = float(res.mn)
-    n, m = res.n, res.m
     hx, hy, hz = hamiltonian.alpha, hamiltonian.beta, hamiltonian.gamma
 
     def rhs(t, p):
         x, y, z = p.tolist()
         if not casimir.in_leaf_domain(res, (x, y, z), _AXIS_MARGIN):
             raise DomainExit(t)
-        rho2 = x * x + y * y
-        c = casimir._solve_value(res, rho2, z)
         vx = 2.0 * mn * x
         vy = 2.0 * mn * y
-        vz = -mn * rho2 * (m / (c + z) - n / (c - z))
+        vz = -mn * casimir._kummer_dz(res, c0, z)
         return np.array([vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx])
 
     def accept(p, k):
@@ -210,15 +208,15 @@ def _downstairs_states(res, hamiltonian, p0, dt, steps):
 def flow_downstairs(res, hamiltonian, p0, dt, total_time):
     """Flow of v x grad H for the resonance structure (field m*n*leaf_field).
 
-    The Casimir is re-solved at every stage; leaving the structure domain
-    raises DomainExit with the time of the offending stage or step rather
-    than extrapolating.
+    The field solves the Casimir once, at p0; the C log solves it at every
+    state.  Leaving the structure domain raises DomainExit with the time of
+    the offending stage or step rather than extrapolating.
     """
     steps = _step_count(dt, total_time)
     out = _downstairs_states(res, hamiltonian, p0, dt, steps)
     times = dt * np.arange(steps + 1)
     cvals = np.array([casimir.solve_casimir(res, q).value for q in out])
-    hvals = np.array([hamiltonian.value(q) for q in out])
+    hvals = hamiltonian.value(out)
     return Trajectory(times=times, states=out, conserved={"C": cvals, "H": hvals})
 
 

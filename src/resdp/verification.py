@@ -54,6 +54,12 @@ def _tol(tol, default):
     return default if tol is None else tol
 
 
+def _require_samples(count):
+    """Raise ValueError below one sample, so no check certifies an empty sample."""
+    if count < 1:
+        raise ValueError(f"need at least one sample, got {count}")
+
+
 def _assemble(check, res, samples, seed, details):
     worst = 0.0
     for d in details:
@@ -68,8 +74,7 @@ def _assemble(check, res, samples, seed, details):
 
 def sample_in_domain(res, count, rng, lo=0.15, hi=1.5):
     """Random in-domain phase points with both moduli in [lo, hi]."""
-    if count < 1:
-        raise ValueError(f"need at least one sample point, got {count}")
+    _require_samples(count)
     out = np.empty((0, 4))
     while len(out) < count:
         batch = max(count - len(out), 64)
@@ -85,6 +90,7 @@ def sample_in_domain(res, count, rng, lo=0.15, hi=1.5):
 
 def check_identity(res, samples=10000, seed=42, tol=None):
     """Kummer product identity plus the 1:1 / 1:-1 quadratic identities."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     a = sample_in_domain(res, samples, rng)
     norms = np.linalg.norm(a, axis=-1)
@@ -114,6 +120,7 @@ def check_identity(res, samples=10000, seed=42, tol=None):
 
 def check_casimir(res, samples=2000, seed=42, tol=None):
     """Closed-form oracles, composition with the leaf map, gradient vs FD."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     details = []
     rel_tol = _tol(tol, 1e-12)
@@ -200,8 +207,7 @@ def sample_leaf_points(res, count, seed):
     rejected.  Raises EmptyFiber when 300 * count draws yield fewer than
     `count` points.
     """
-    if count < 1:
-        raise ValueError(f"need at least one leaf point, got {count}")
+    _require_samples(count)
     rng = np.random.default_rng(seed)
     base = float(res.n) ** res.m * float(res.m) ** res.n
     pts = []
@@ -228,6 +234,7 @@ def sample_leaf_points(res, count, seed):
 
 def check_bracket_table(res, samples=1000, seed=42, tol=None):
     """Canonical brackets of (X, Y, Z) against the structure table."""
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     pts = sample_in_domain(res, samples, rng, lo=0.4, hi=1.4)
     poisson = dynamics.poisson_tensor(res.sign)
@@ -253,6 +260,7 @@ def check_bracket_table(res, samples=1000, seed=42, tol=None):
 
 def check_dual_pair(res, samples=300, seed=42, tol=None):
     """Dual-pair defects over fiber samples at momentum levels 0.5, 1.5 and 3."""
+    _require_samples(samples)
     per_level = max(1, samples // len(_LEVELS))
     worst_res, worst_dist, total = 0.0, 0.0, 0
     for i, c in enumerate(_LEVELS):
@@ -270,16 +278,20 @@ def check_dual_pair(res, samples=300, seed=42, tol=None):
 
 
 def check_leaf_correspondence(res, samples=300, seed=42, tol=None):
+    _require_samples(samples)
     details = []
     per_level = max(1, samples // len(_LEVELS))
+    total = 0
     for i, c in enumerate(_LEVELS):
         out = dual_pair.leaf_correspondence_check(res, c, per_level, seed=seed + i)
         details.append({"name": f"level_c_{c:g}", "defect": out["max_deviation"],
                         "tolerance": _tol(tol, 1e-9) * (1.0 + c)})
-    return _assemble("leaf-correspondence", res, samples, seed, details)
+        total += out["samples"]
+    return _assemble("leaf-correspondence", res, total, seed, details)
 
 
 def check_integrability(res, samples=50, seed=42, tol=None):
+    _require_samples(samples)
     structure = poisson3.resonance_structure(res)
     pts = sample_leaf_points(res, samples, seed)
     worst = max(poisson3.integrability_defect(structure, p) for p in pts)
@@ -289,6 +301,7 @@ def check_integrability(res, samples=50, seed=42, tol=None):
 
 
 def check_jacobi(res, samples=20, seed=42, tol=None):
+    _require_samples(samples)
     structure = poisson3.resonance_structure(res)
     fx, fy, fz = poisson3.coordinate_fields()
     pts = sample_leaf_points(res, samples, seed)
@@ -299,6 +312,7 @@ def check_jacobi(res, samples=20, seed=42, tol=None):
 
 
 def check_equivariance(res, samples=1000, seed=42, tol=None):
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -312,6 +326,7 @@ def check_equivariance(res, samples=1000, seed=42, tol=None):
 
 
 def check_transitivity(res, samples=1000, seed=42, tol=None):
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     tolerance = _tol(tol, 1e-12)
     worst_map, worst_group = 0.0, 0.0
@@ -338,6 +353,7 @@ def check_transitivity(res, samples=1000, seed=42, tol=None):
 
 
 def check_conservation(res, samples=200, seed=42, tol=None):
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     t_grid = np.concatenate([[0.0, 0.7, np.pi, 5.0], rng.uniform(0.0, 8.0, size=8)])
     worst = 0.0
@@ -387,6 +403,7 @@ def _pushforward_points(res, count, seed):
 
 def check_pushforward(res, samples=3, seed=42, tol=None):
     """Upstairs vs downstairs flows over T = 1 at dt = 1e-3."""
+    _require_samples(samples)
     if res.sign == MINUS and res.n < res.m:
         # The admissible band of these cells is thin; only rotations about
         # the z axis are guaranteed to keep trajectories inside it.

@@ -74,6 +74,15 @@ class TestUsageErrors:
         assert "--tol" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--tol", "1e-30"], ["--samples", "5"],
+                                       ["--tol", "1e-30", "--samples", "5"]])
+    def test_verify_all_rejects_samples_and_tol(self, flags, tmp_path, capsys):
+        out = tmp_path / "all.json"
+        assert main(["verify", "all", "--seed", "1", "--json", str(out)] + flags) == 2
+        captured = capsys.readouterr()
+        assert "--samples and --tol" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "identity", "--samples", "10", "--seed", "-1"]) == 2
         capsys.readouterr()
@@ -180,6 +189,10 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "seed=12345" in out
+
+    def test_single_check_defaults_to_1000_samples(self, capsys):
+        assert main(["verify", "equivariance", "--n", "2", "--m", "1"]) == 0
+        assert "samples=1000" in capsys.readouterr().out
 
     def test_several_checks_pass(self, capsys):
         for what, args in [("equivariance", ["--sign", "minus", "--samples", "50"]),

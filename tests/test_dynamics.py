@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from resdp import dual_pair as dp, dynamics as dyn
-from resdp import phase_space as ps
+from resdp import casimir, dual_pair as dp, dynamics as dyn
+from resdp import phase_space as ps, poisson3
 from resdp import resonance_maps as rm
 from resdp.errors import DomainExit, OffDomain, StepRejected
 from resdp.poisson3 import ScalarField
 from resdp.resonance_maps import Resonance
-from resdp.verification import sample_in_domain
+from resdp.verification import sample_in_domain, sample_leaf_points
 
 
 def cpoint(a1, a2):
@@ -226,6 +226,51 @@ class TestFlowDownstairs:
         with pytest.raises(OffDomain):
             dyn.flow_downstairs(Resonance(1, 1), dyn.DownstairsHamiltonian(gamma=1.0),
                                 [0.0, 0.0, 1.0], 1e-3, 1.0)
+
+
+def downstairs_rhs(monkeypatch, res, ham, p):
+    """The downstairs right-hand side at time 0 on the trajectory that starts at p."""
+    monkeypatch.setattr(dyn, "_rk4", lambda rhs, y0, dt, steps, accept: rhs(0.0, y0))
+    return dyn._downstairs_states(res, ham, p, 1e-3, 1)
+
+
+class TestNambuField:
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)])
+    def test_matches_structure_hamiltonian_field(self, monkeypatch, n, m, sign):
+        # H = z leaves the third field component out of the flow; a tilted H
+        # checks it against the structure field re-solved at the point.
+        res = Resonance(n, m, sign)
+        ham = dyn.DownstairsHamiltonian(alpha=0.3, beta=-0.2, gamma=0.9)
+        grad_h = ScalarField(ham.value, lambda p: np.array([ham.alpha, ham.beta, ham.gamma]))
+        structure = poisson3.resonance_structure(res)
+        for p in sample_leaf_points(res, 10, seed=n + 10 * m):
+            want = poisson3.hamiltonian_vf(structure, grad_h, p)
+            got = downstairs_rhs(monkeypatch, res, ham, p)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_one_casimir_solve_per_trajectory(self, monkeypatch):
+        calls = {"n": 0}
+        real = casimir._newton_bisect
+
+        def counted(*args):
+            calls["n"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(casimir, "_newton_bisect", counted)
+        res = Resonance(3, 2)
+        a0 = dp.fiber_sample(res, 1.5, 1, seed=6)[0]
+        ham = dyn.DownstairsHamiltonian(alpha=0.15, beta=-0.1, gamma=0.8)
+        assert dyn.pushforward_defect(res, ham, a0, 1e-3, 1.0) < 1e-6
+        assert calls["n"] == 1
+
+    def test_hamiltonian_log_matches_pointwise_values(self):
+        res = Resonance(2, 1)
+        p0 = rm.leaf_map(res, dp.fiber_sample(res, 1.5, 1, seed=6)[0])
+        ham = dyn.DownstairsHamiltonian(alpha=0.2, beta=-0.1, gamma=0.7)
+        traj = dyn.flow_downstairs(res, ham, p0, 1e-3, 0.2)
+        pointwise = [ham.alpha * x + ham.beta * y + ham.gamma * z for x, y, z in traj.states]
+        assert traj.conserved["H"].tolist() == pointwise
 
 
 class TestPushforward:

@@ -29,11 +29,17 @@ class TestPushforwardPoints:
         with pytest.raises(EmptyFiber, match="found 0/2"):
             vf.sample_leaf_points(Resonance(2, 1), 2, seed=1)
 
-    @pytest.mark.parametrize("check", [vf.check_integrability, vf.check_jacobi,
-                                       vf.check_identity])
+    # Below one sample a check would certify nothing and still report a pass.
+    @pytest.mark.parametrize("check", list(vf.CHECKS.values()))
     def test_no_samples_is_a_clear_error(self, check):
         with pytest.raises(ValueError, match="got 0"):
             check(Resonance(2, 1), samples=0)
+
+
+def test_leaf_correspondence_reports_points_checked():
+    # 100 samples over three levels check 33 points each.
+    report = vf.check_leaf_correspondence(Resonance(2, 1), samples=100, seed=42)
+    assert report.samples == 99
 
 
 def test_every_check_takes_exactly_res_samples_seed_tol():
