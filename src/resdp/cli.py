@@ -112,10 +112,8 @@ def _write_trajectory_csv(path, traj, state_names):
     names = ["t"] + state_names + list(traj.conserved)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        logs = [traj.conserved[k] for k in traj.conserved]
-        for i, t in enumerate(traj.times):
-            row = [t] + list(traj.states[i]) + [log[i] for log in logs]
-            fh.write(",".join(jsonio.format_float(v) for v in row) + "\n")
+        jsonio.write_rows(fh, np.column_stack([traj.times, traj.states,
+                                               *traj.conserved.values()]), ",")
 
 
 def _cmd_flow(args):

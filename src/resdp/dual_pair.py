@@ -102,6 +102,9 @@ def minus_fiber_s_max(res, c):
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            # lo and hi are adjacent floats: no further step moves them.
+            break
         if inside(mid):
             lo = mid
         else:

@@ -16,6 +16,18 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
+# Rows turned into Python lists at a time, so a file never exists as one
+# list or one string in memory.
+_BLOCK_ROWS = 4096
+
+
+def write_rows(fh, rows, sep, prefix="", fmt=format_float):
+    """Write each row of a 2-d array as one LF line: prefix + sep.join(fmt(value))."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        fh.writelines(prefix + sep.join(map(fmt, row)) + "\n"
+                      for row in rows[start:start + _BLOCK_ROWS].tolist())
+
+
 def dumps(obj, indent=0):
     """Serialize dicts/lists/scalars; floats at 17 significant digits."""
     pieces = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .casimir import kummer_product
 from .errors import BadParams
-from .jsonio import format_float
+from .jsonio import write_rows
 from .phase_space import PLUS
 
 DEFAULT_DELTA = 1e-6
@@ -91,43 +91,33 @@ def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
     return curves
 
 
-def _revolve(profile, slices, close_bottom=None, close_top=None, label=""):
+def _revolve(profile, slices, label, cap=None):
     """Revolve a (radius, z) profile around the z axis into a triangle mesh.
 
-    Optional cap apexes (x, y, z) close the tube with triangle fans.
+    Ring i starts at vertex b = i * slices and the next ring at n = b +
+    slices; slice j, with k = (j + 1) mod slices, gives the triangles
+    (b+j, b+k, n+k) and (b+j, n+k, n+j).  cap=c appends the apexes
+    (0, 0, -c) and (0, 0, c) and closes the tube with a fan about each.
     """
-    radii = profile[:, 0]
-    zs = profile[:, 1]
     rings = len(profile)
     theta = 2.0 * np.pi * np.arange(slices) / slices
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    verts = []
-    for rho, z in zip(radii, zs):
-        ring = np.column_stack([rho * cos_t, rho * sin_t, np.full(slices, z)])
-        verts.append(ring)
-    vertices = np.vstack(verts)
-    tris = []
-    for i in range(rings - 1):
-        base, nxt = i * slices, (i + 1) * slices
-        for j in range(slices):
-            k = (j + 1) % slices
-            tris.append([base + j, base + k, nxt + k])
-            tris.append([base + j, nxt + k, nxt + j])
-    if close_bottom is not None:
+    vertices = np.column_stack([np.outer(profile[:, 0], np.cos(theta)).ravel(),
+                                np.outer(profile[:, 0], np.sin(theta)).ravel(),
+                                np.repeat(profile[:, 1], slices)])
+    j = np.arange(slices)
+    k = (j + 1) % slices
+    b = slices * np.arange(rings - 1)[:, None]
+    n = b + slices
+    bands = np.stack([b + j, b + k, n + k, b + j, n + k, n + j], axis=-1)
+    triangles = bands.reshape(-1, 3)
+    if cap is not None:
         apex = len(vertices)
-        vertices = np.vstack([vertices, close_bottom])
-        for j in range(slices):
-            k = (j + 1) % slices
-            tris.append([apex, k, j])
-    if close_top is not None:
-        apex = len(vertices)
-        vertices = np.vstack([vertices, close_top])
         top = (rings - 1) * slices
-        for j in range(slices):
-            k = (j + 1) % slices
-            tris.append([apex, top + j, top + k])
-    return TriangleMesh(vertices=vertices, triangles=np.array(tris, dtype=int),
-                        label=label)
+        vertices = np.vstack([vertices, [[0.0, 0.0, -cap], [0.0, 0.0, cap]]])
+        triangles = np.vstack([triangles,
+                               np.column_stack([np.full(slices, apex), k, j]),
+                               np.column_stack([np.full(slices, apex + 1), top + j, top + k])])
+    return TriangleMesh(vertices=vertices, triangles=triangles, label=label)
 
 
 def surface_mesh(res, c, slices, rings, z_max=None, delta=DEFAULT_DELTA):
@@ -143,12 +133,8 @@ def surface_mesh(res, c, slices, rings, z_max=None, delta=DEFAULT_DELTA):
         raise BadParams(f"need at least 2 rings, got {rings}")
     curves = generating_curve(res, c, rings, delta=delta, z_max=z_max)
     if res.sign == PLUS:
-        profile = curves[0].points
-        return [_revolve(profile, slices,
-                         close_bottom=np.array([0.0, 0.0, -c]),
-                         close_top=np.array([0.0, 0.0, c]),
-                         label="bounded")]
-    return [_revolve(curve.points, slices, label=curve.label) for curve in curves]
+        return [_revolve(curves[0].points, slices, "bounded", cap=c)]
+    return [_revolve(curve.points, slices, curve.label) for curve in curves]
 
 
 def merge_meshes(meshes):
@@ -182,26 +168,21 @@ def export(geometry, fmt, path):
     """
     if fmt not in ("csv", "obj"):
         raise BadParams(f"format must be 'csv' or 'obj', got {fmt!r}")
+    if isinstance(geometry, Polyline):
+        header, points = "y,z", geometry.points
+        if fmt == "obj":
+            points = np.column_stack([np.zeros(len(points)), points])
+    elif isinstance(geometry, TriangleMesh):
+        header, points = "x,y,z", geometry.vertices
+    else:
+        raise BadParams(f"cannot export {type(geometry).__name__}")
     with open(path, "w", newline="\n") as fh:
-        if isinstance(geometry, Polyline):
-            if fmt == "csv":
-                fh.write("y,z\n")
-                for y, z in geometry.points:
-                    fh.write(f"{format_float(y)},{format_float(z)}\n")
-            else:
-                for y, z in geometry.points:
-                    fh.write(f"v 0 {format_float(y)} {format_float(z)}\n")
-                if len(geometry.points) > 1:
-                    fh.write("l " + " ".join(str(i + 1) for i in range(len(geometry.points))) + "\n")
-        elif isinstance(geometry, TriangleMesh):
-            if fmt == "csv":
-                fh.write("x,y,z\n")
-                for x, y, z in geometry.vertices:
-                    fh.write(f"{format_float(x)},{format_float(y)},{format_float(z)}\n")
-            else:
-                for x, y, z in geometry.vertices:
-                    fh.write(f"v {format_float(x)} {format_float(y)} {format_float(z)}\n")
-                for i, j, k in geometry.triangles:
-                    fh.write(f"f {i + 1} {j + 1} {k + 1}\n")
+        if fmt == "csv":
+            fh.write(header + "\n")
+            write_rows(fh, points, ",")
         else:
-            raise BadParams(f"cannot export {type(geometry).__name__}")
+            write_rows(fh, points, " ", "v ")
+            if isinstance(geometry, TriangleMesh):
+                write_rows(fh, geometry.triangles + 1, " ", "f ", str)
+            elif len(points) > 1:
+                fh.write("l " + " ".join(str(i + 1) for i in range(len(points))) + "\n")

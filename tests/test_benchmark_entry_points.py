@@ -97,3 +97,27 @@ def test_every_resdp_call_in_the_benchmark_binds():
             bound.add(callee.__qualname__)
     # The calls whose keywords the benchmark relies on are among those checked.
     assert {"fiber_sample", "DownstairsHamiltonian", "dumps"} <= bound, bound
+
+
+def test_tracer_hooks_read_a_shape_export_and_a_certify_grid_item(perfbench_modules, tmp_path):
+    # The counter hooks read call arguments and results by position
+    # (export's path is args[2]); run one tiny item of each workload under
+    # the tracer so a moved argument fails here rather than in the benchmark.
+    spans, workloads = perfbench_modules
+    tracer = spans.Tracer()
+    shape = workloads.ShapeExport(1, True, str(tmp_path))
+    grid = workloads.CertifyGrid(1, True, str(tmp_path))
+    tracer.install()
+    try:
+        shape_out = tracer.run_item(0, shape.run, shape.items[0])
+        check, _, samples = grid.items[0]
+        report = tracer.run_item(1, grid.run, grid.items[0])
+    finally:
+        tracer.uninstall()
+    assert shape.check(shape.items[0], shape_out).ok
+    assert grid.check(grid.items[0], report).ok
+    counters = tracer.counters
+    assert counters["shapes.export.bytes"] > 0
+    assert counters[f"verification.{check}.used"] == report.samples > 0
+    assert counters[f"verification.{check}.requested"] == samples
+    assert tracer.layer_metrics()["verification.useful_frac"] > 0

@@ -1,8 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+from resdp import cli, dynamics, jsonio
 from resdp.cli import main
 
 
@@ -145,6 +147,22 @@ class TestFlowCommands:
         assert code == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,y,z,C,H"
+
+    def test_csv_bytes_match_row_loop(self, tmp_path):
+        # More than the writer's 4,096-row block, so a block boundary is crossed.
+        rng = np.random.default_rng(5)
+        traj = dynamics.Trajectory(times=np.arange(4500) * 1e-3,
+                                   states=rng.normal(size=(4500, 3)),
+                                   conserved={"C": rng.normal(size=4500),
+                                              "H": rng.normal(size=4500) * 1e-9})
+        cli._write_trajectory_csv(tmp_path / "got.csv", traj, ["x", "y", "z"])
+        # The per-row loop the streamed writer replaced.
+        with open(tmp_path / "want.csv", "w", newline="\n") as fh:
+            fh.write("t,x,y,z,C,H\n")
+            for i, t in enumerate(traj.times):
+                row = [t] + list(traj.states[i]) + [traj.conserved[k][i] for k in ("C", "H")]
+                fh.write(",".join(jsonio.format_float(v) for v in row) + "\n")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_downstairs_domain_exit_code(self, tmp_path, capsys):
         code = main(["flow", "downstairs", "--n", "1", "--m", "2", "--sign", "minus",

@@ -143,6 +143,32 @@ class TestFiberSample:
         assert not rm.in_domain(res, outside)
 
 
+def _reference_s_max(res, c):
+    """minus_fiber_s_max with its full 200 bisection steps."""
+    def inside(w):
+        u = 2.0 * c + w
+        return u ** res.m * w ** res.n < (0.5 * (u + w)) ** (res.n + res.m)
+
+    hi = 1.0
+    while inside(hi):
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo / res.m
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(n + 1, 5)])
+def test_s_max_early_stop_is_bit_identical(n, m):
+    res = Resonance(n, m, "minus")
+    for c in np.logspace(-3.0, 3.0, 40):
+        assert dp.minus_fiber_s_max(res, c) == _reference_s_max(res, c), c
+
+
 class TestLeafCorrespondence:
     def test_plus_hand_value(self):
         # The level-1.5 fiber of the 2:1 resonance contains (1, 1), whose

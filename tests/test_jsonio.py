@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -54,3 +55,19 @@ class TestDumps:
     def test_deterministic(self):
         obj = {"a": [0.1, 0.2, {"b": 3.3}]}
         assert jsonio.dumps(obj) == jsonio.dumps(obj)
+
+
+class TestWriteRows:
+    def test_records_cross_the_block_boundary(self):
+        rows = np.random.default_rng(3).normal(size=(4097 + 5, 3)) * 1e7
+        out = io.StringIO()
+        jsonio.write_rows(out, rows, ",", "v ")
+        want = "".join("v " + ",".join(format(float(x), ".17g") for x in row) + "\n"
+                       for row in rows)
+        assert out.getvalue() == want
+
+    def test_custom_formatter_and_no_rows(self):
+        out = io.StringIO()
+        jsonio.write_rows(out, np.array([[1, 2, 3], [40, 50, 60]]), " ", "f ", str)
+        jsonio.write_rows(out, np.zeros((0, 3)), ",")
+        assert out.getvalue() == "f 1 2 3\nf 40 50 60\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resdp import casimir, shapes
+from resdp import casimir, jsonio, shapes
 from resdp.errors import BadParams
 from resdp.resonance_maps import Resonance
 
@@ -165,3 +165,93 @@ class TestExport:
         shapes.export(curve, "csv", path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+def _reference_revolve(profile, slices, close_bottom=None, close_top=None):
+    """The per-triangle loops that _revolve replaced, kept as its oracle."""
+    theta = 2.0 * np.pi * np.arange(slices) / slices
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    vertices = np.vstack([np.column_stack([rho * cos_t, rho * sin_t, np.full(slices, z)])
+                          for rho, z in profile])
+    rings = len(profile)
+    tris = []
+    for i in range(rings - 1):
+        base, nxt = i * slices, (i + 1) * slices
+        for j in range(slices):
+            k = (j + 1) % slices
+            tris.append([base + j, base + k, nxt + k])
+            tris.append([base + j, nxt + k, nxt + j])
+    if close_bottom is not None:
+        apex = len(vertices)
+        vertices = np.vstack([vertices, close_bottom])
+        for j in range(slices):
+            tris.append([apex, (j + 1) % slices, j])
+    if close_top is not None:
+        apex = len(vertices)
+        vertices = np.vstack([vertices, close_top])
+        top = (rings - 1) * slices
+        for j in range(slices):
+            tris.append([apex, top + j, top + (j + 1) % slices])
+    return vertices, np.array(tris, dtype=int)
+
+
+def _reference_export(geometry, fmt, path):
+    """The per-row writer loops that export replaced, kept as its byte oracle."""
+    with open(path, "w", newline="\n") as fh:
+        if isinstance(geometry, shapes.Polyline):
+            if fmt == "csv":
+                fh.write("y,z\n")
+                for y, z in geometry.points:
+                    fh.write(f"{jsonio.format_float(y)},{jsonio.format_float(z)}\n")
+            else:
+                for y, z in geometry.points:
+                    fh.write(f"v 0 {jsonio.format_float(y)} {jsonio.format_float(z)}\n")
+                if len(geometry.points) > 1:
+                    fh.write("l " + " ".join(str(i + 1) for i in range(len(geometry.points)))
+                             + "\n")
+        elif fmt == "csv":
+            fh.write("x,y,z\n")
+            for x, y, z in geometry.vertices:
+                fh.write(f"{jsonio.format_float(x)},{jsonio.format_float(y)},"
+                         f"{jsonio.format_float(z)}\n")
+        else:
+            for x, y, z in geometry.vertices:
+                fh.write(f"v {jsonio.format_float(x)} {jsonio.format_float(y)} "
+                         f"{jsonio.format_float(z)}\n")
+            for i, j, k in geometry.triangles:
+                fh.write(f"f {i + 1} {j + 1} {k + 1}\n")
+
+
+class TestAgainstLoopReference:
+    def test_bounded_revolve_with_caps(self):
+        c = 1.3
+        [curve] = shapes.generating_curve(Resonance(3, 2), c, 9)
+        mesh = shapes._revolve(curve.points, 7, "bounded", cap=c)
+        vertices, triangles = _reference_revolve(curve.points, 7, np.array([0.0, 0.0, -c]),
+                                                 np.array([0.0, 0.0, c]))
+        assert np.array_equal(mesh.vertices, vertices)
+        assert mesh.triangles.dtype == triangles.dtype
+        assert np.array_equal(mesh.triangles, triangles)
+
+    def test_unbounded_revolve_open_tube(self):
+        curves = shapes.generating_curve(Resonance(2, 4, "minus"), 0.8, 6)
+        for curve in curves:
+            mesh = shapes._revolve(curve.points, 5, curve.label)
+            vertices, triangles = _reference_revolve(curve.points, 5)
+            assert np.array_equal(mesh.vertices, vertices)
+            assert mesh.triangles.dtype == triangles.dtype
+            assert np.array_equal(mesh.triangles, triangles)
+
+    # More than the writer's 4,096-row block, so a block boundary is crossed.
+    @pytest.mark.parametrize("fmt", ["csv", "obj"])
+    @pytest.mark.parametrize("kind", ["curve", "mesh"])
+    def test_export_bytes_match_row_loops(self, kind, fmt, tmp_path):
+        res = Resonance(2, 2, "minus")
+        if kind == "curve":
+            geometry = shapes.generating_curve(res, 1.1, 4500)[1]
+        else:
+            geometry = shapes.merge_meshes(shapes.surface_mesh(res, 1.1, slices=40, rings=60))
+            assert len(geometry.vertices) > 4096
+        shapes.export(geometry, fmt, tmp_path / "got")
+        _reference_export(geometry, fmt, tmp_path / "want")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()

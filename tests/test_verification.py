@@ -57,6 +57,28 @@ def test_explicit_tolerance_reaches_every_detail(tol, want):
     assert report.passed == (tol is None)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_casimir_composition_checks_fiber_points_on_minus_cells(m, monkeypatch):
+    # With both moduli in [0.15, 1.5] the 1:-m cells have few or no in-domain
+    # points of momentum >= 0.1; fiber points at the three levels give each
+    # level its share.  A composition point is solved at the leaf image of a
+    # level-c fiber point, so its Casimir value is c.
+    values = []
+    solve = casimir.solve_casimir
+
+    def counting(res, p):
+        ev = solve(res, p)
+        values.append(ev.value)
+        return ev
+
+    monkeypatch.setattr(casimir, "solve_casimir", counting)
+    report = vf.check_casimir(Resonance(1, m, "minus"), samples=60, seed=42)
+    assert report.passed
+    for c in vf._LEVELS:
+        hits = sum(abs(v - c) <= 1e-9 * c for v in values)
+        assert hits >= 18, (c, hits)
+
+
 class TestSampleLeafPoints:
     def test_solver_errors_are_skipped(self, monkeypatch):
         real = casimir.leaf_field
