@@ -183,6 +183,6 @@ def export(geometry, fmt, path):
         else:
             write_rows(fh, points, " ", "v ")
             if isinstance(geometry, TriangleMesh):
-                write_rows(fh, geometry.triangles + 1, " ", "f ", str)
+                write_rows(fh, geometry.triangles + 1, " ", "f ")
             elif len(points) > 1:
                 fh.write("l " + " ".join(str(i + 1) for i in range(len(points))) + "\n")

@@ -145,7 +145,7 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
             want = np.sqrt(s)
             worst = max(worst, abs(got - want) / want)
         details.append({"name": "closed_form_quadric", "defect": worst,
-                        "tolerance": rel_tol})
+                        "tolerance": rel_tol, "points": len(pts)})
 
     if res.sign == PLUS:
         a = sample_in_domain(res, samples, np.random.default_rng(seed + 1))
@@ -184,20 +184,29 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
                                          1e-6 * (1.0 + np.linalg.norm(p)))
         worst_grad = max(worst_grad, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
     details.append({"name": "gradient_vs_fd", "defect": worst_grad,
-                    "tolerance": _tol(tol, 1e-6)})
+                    "tolerance": _tol(tol, 1e-6), "points": len(pts)})
     return _assemble("casimir", res, samples, seed, details)
 
 
 def _leaf_points(res, count, rng):
-    """In-domain leaf points obtained by projecting in-domain phase points.
+    """`count` in-domain leaf points, by projecting in-domain phase points.
 
-    Points too close to the domain boundary (bound margin 0.8) are dropped so
-    finite-difference stencils of the callers stay inside.
+    Points near the Oz axis or the domain boundary (bound margin 0.8) are
+    dropped so finite-difference stencils of the callers stay inside; more
+    phase points are drawn, `count` at a time, until `count` remain.  Raises
+    EmptyFiber when 100 * count draws yield fewer.
     """
-    a = sample_in_domain(res, count, rng, lo=0.35, hi=1.4)
-    pts = rm.leaf_map(res, a)
-    keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-2
-    return pts[keep & casimir.in_leaf_domain(res, pts, bound_margin=0.8)]
+    pts = np.empty((0, 3))
+    drawn = 0
+    while len(pts) < count and drawn < 100 * count:
+        a = sample_in_domain(res, count, rng, lo=0.35, hi=1.4)
+        drawn += count
+        p = rm.leaf_map(res, a)
+        keep = p[:, 0] ** 2 + p[:, 1] ** 2 > 1e-2
+        pts = np.vstack([pts, p[keep & casimir.in_leaf_domain(res, p, bound_margin=0.8)]])
+    if len(pts) < count:
+        raise EmptyFiber(f"found {len(pts)}/{count} leaf points after {drawn} draws")
+    return pts[:count]
 
 
 def sample_leaf_points(res, count, seed):

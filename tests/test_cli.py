@@ -14,6 +14,22 @@ def strip_timestamp(text):
     return data
 
 
+def _assert_trajectory_csv_matches_row_loop(tmp_path, count):
+    rng = np.random.default_rng(5)
+    traj = dynamics.Trajectory(times=np.arange(count) * 1e-3,
+                               states=rng.normal(size=(count, 3)),
+                               conserved={"C": rng.normal(size=count),
+                                          "H": rng.normal(size=count) * 1e-9})
+    cli._write_trajectory_csv(tmp_path / "got.csv", traj, ["x", "y", "z"])
+    # The per-row loop the streamed writer replaced.
+    with open(tmp_path / "want.csv", "w", newline="\n") as fh:
+        fh.write("t,x,y,z,C,H\n")
+        for i, t in enumerate(traj.times):
+            row = [t] + list(traj.states[i]) + [traj.conserved[k][i] for k in ("C", "H")]
+            fh.write(",".join(jsonio.format_float(v) for v in row) + "\n")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestCasimirCommand:
     def test_equator_value(self, capsys):
         code = main(["casimir", "--n", "2", "--m", "1", "--sign", "plus",
@@ -149,20 +165,11 @@ class TestFlowCommands:
         assert lines[0] == "t,x,y,z,C,H"
 
     def test_csv_bytes_match_row_loop(self, tmp_path):
-        # More than the writer's 4,096-row block, so a block boundary is crossed.
-        rng = np.random.default_rng(5)
-        traj = dynamics.Trajectory(times=np.arange(4500) * 1e-3,
-                                   states=rng.normal(size=(4500, 3)),
-                                   conserved={"C": rng.normal(size=4500),
-                                              "H": rng.normal(size=4500) * 1e-9})
-        cli._write_trajectory_csv(tmp_path / "got.csv", traj, ["x", "y", "z"])
-        # The per-row loop the streamed writer replaced.
-        with open(tmp_path / "want.csv", "w", newline="\n") as fh:
-            fh.write("t,x,y,z,C,H\n")
-            for i, t in enumerate(traj.times):
-                row = [t] + list(traj.states[i]) + [traj.conserved[k][i] for k in ("C", "H")]
-                fh.write(",".join(jsonio.format_float(v) for v in row) + "\n")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        # Many writer blocks and a partial last one.
+        _assert_trajectory_csv_matches_row_loop(tmp_path, 4500)
+
+    def test_csv_of_exactly_one_block_matches_row_loop(self, tmp_path):
+        _assert_trajectory_csv_matches_row_loop(tmp_path, jsonio._BLOCK_ROWS)
 
     def test_downstairs_domain_exit_code(self, tmp_path, capsys):
         code = main(["flow", "downstairs", "--n", "1", "--m", "2", "--sign", "minus",

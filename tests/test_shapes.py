@@ -242,7 +242,7 @@ class TestAgainstLoopReference:
             assert mesh.triangles.dtype == triangles.dtype
             assert np.array_equal(mesh.triangles, triangles)
 
-    # More than the writer's 4,096-row block, so a block boundary is crossed.
+    # Many writer blocks and a partial last one.
     @pytest.mark.parametrize("fmt", ["csv", "obj"])
     @pytest.mark.parametrize("kind", ["curve", "mesh"])
     def test_export_bytes_match_row_loops(self, kind, fmt, tmp_path):
@@ -252,6 +252,21 @@ class TestAgainstLoopReference:
         else:
             geometry = shapes.merge_meshes(shapes.surface_mesh(res, 1.1, slices=40, rings=60))
             assert len(geometry.vertices) > 4096
+        shapes.export(geometry, fmt, tmp_path / "got")
+        _reference_export(geometry, fmt, tmp_path / "want")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+    # Exactly one writer block of vertices (and of curve points).
+    @pytest.mark.parametrize("fmt", ["csv", "obj"])
+    @pytest.mark.parametrize("kind", ["curve", "mesh"])
+    def test_export_of_exactly_one_block_matches_row_loops(self, kind, fmt, tmp_path):
+        res = Resonance(2, 1, "minus")
+        if kind == "curve":
+            [geometry] = shapes.generating_curve(res, 0.9, jsonio._BLOCK_ROWS)
+            assert len(geometry.points) == jsonio._BLOCK_ROWS
+        else:
+            [geometry] = shapes.surface_mesh(res, 0.9, slices=16, rings=jsonio._BLOCK_ROWS // 16)
+            assert len(geometry.vertices) == jsonio._BLOCK_ROWS
         shapes.export(geometry, fmt, tmp_path / "got")
         _reference_export(geometry, fmt, tmp_path / "want")
         assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()

@@ -79,6 +79,30 @@ def test_casimir_composition_checks_fiber_points_on_minus_cells(m, monkeypatch):
         assert hits >= 18, (c, hits)
 
 
+class TestLeafPoints:
+    # One projected draw of 100 kept 24 points on 1:-1 minus at this rng seed
+    # (the seed + 2 of verify all --seed 42) and fewer than 100 on 29 cells.
+    @pytest.mark.parametrize("res", [Resonance(n, m, sign) for sign in ("plus", "minus")
+                                     for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)], ids=str)
+    def test_returns_requested_count(self, res):
+        pts = vf._leaf_points(res, 100, np.random.default_rng(44))
+        assert pts.shape == (100, 3)
+        assert np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 1e-2)
+        assert np.all(casimir.in_leaf_domain(res, pts, bound_margin=0.8))
+
+    def test_shortfall_raises_with_count(self, monkeypatch):
+        monkeypatch.setattr(casimir, "in_leaf_domain",
+                            lambda res, p, bound_margin: np.zeros(len(p), dtype=bool))
+        with pytest.raises(EmptyFiber, match="found 0/16 leaf points after 1600 draws"):
+            vf._leaf_points(Resonance(2, 1), 16, np.random.default_rng(1))
+
+    def test_casimir_reports_points_checked(self):
+        report = vf.check_casimir(Resonance(1, 1, "minus"), samples=400, seed=42)
+        points = {d["name"]: d.get("points") for d in report.details}
+        assert points["closed_form_quadric"] == 100
+        assert points["gradient_vs_fd"] == 100
+
+
 class TestSampleLeafPoints:
     def test_solver_errors_are_skipped(self, monkeypatch):
         real = casimir.leaf_field
