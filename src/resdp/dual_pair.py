@@ -2,15 +2,22 @@
 
 At every admissible phase point the kernel of the circle-momentum
 differential must be the symplectic orthogonal of the kernel of the leaf-map
-differential.  Both kernels are computable in closed form:
+differential.  Both are complements of one vector:
 
-    ker d(circle_momentum) = (n a1, m a2)-perp            (plus)
-                             (n a1, -m a2)-perp           (minus)
-    ker d(leaf_map)        = span of (i n a1, i m a2)
+    ker d(circle_momentum) = (grad R)-perp,   grad R = (n a1, +-m a2)
+    ker d(leaf_map)        = span{k},         k = (i n a1, i m a2)
+    span{k}^omega          = (W k)-perp,      since form(u, k) = u @ W @ k
 
-and the certification compares the first against the symplectic orthogonal
-of the second through orthogonal projectors, plus direct annihilation
-residuals.
+with W the matrix of the symplectic form.  Their orthogonal projectors are
+I - g g^T and I - w w^T, with g and w the unit normals, so the max-norm
+projector distance is exactly max|w w^T - g g^T|: (I - A) - (I - B) = B - A.
+No SVD or rank decision enters; both normals are nonzero on the domain
+(off the axes), and a unit normal fixes its projector whatever its sign.
+In exact arithmetic W k = -grad R (R generates the circle action), so the
+distance is the rounding of the two normalizations.  The kernel residual
+checks the closed forms independently: d(leaf_map) must annihilate k, and
+the analytic and finite-difference dR an orthonormal basis of (grad R)-perp.
+Every function here works on batches of points.
 """
 
 import numpy as np
@@ -22,61 +29,57 @@ from .phase_space import PLUS
 
 
 def momentum_kernel_basis(res, a):
-    """Orthonormal basis (3 rows) of ker d(circle_momentum) at a.
+    """Orthonormal basis of ker d(circle_momentum), shape (..., 3, 4).
 
-    This is the Euclidean complement of the analytic momentum gradient.
+    The Euclidean complement of the analytic momentum gradient, from one
+    stacked SVD of the gradients as 1x4 matrices.
     """
-    a = np.asarray(a, dtype=float)
     grad = rm.circle_momentum_gradient(res, a)
-    if np.linalg.norm(grad) == 0.0:
+    if np.any(np.all(grad == 0.0, axis=-1)):
         raise ZeroPoint("momentum differential vanishes only at the origin")
-    u, s, vt = np.linalg.svd(grad.reshape(1, 4))
-    return vt[1:]
-
-
-def leaf_map_kernel(res, a):
-    """Unit vector spanning ker d(leaf_map) at a (the circle-orbit tangent)."""
-    k = rm.circle_generator(res, a)
-    return k / np.linalg.norm(k)
+    return np.linalg.svd(grad[..., None, :])[2][..., 1:, :]
 
 
 def _fd_momentum_differential(res, a, u):
-    """Central difference of circle_momentum along u.
+    """Central difference of circle_momentum at points a along directions u.
 
     The momentum is quadratic, so the central difference carries no
     truncation error at any step; a wide step keeps the rounding noise
     (about eps * R / h, with h = 1e-3 (1 + |a|)) far below the dual-pair
     tolerance.
     """
-    a = np.asarray(a, dtype=float)
-    u = np.asarray(u, dtype=float)
-    h = 1e-3 * (1.0 + np.linalg.norm(a))
-    return (rm.circle_momentum(res, a + h * u) - rm.circle_momentum(res, a - h * u)) / (2.0 * h)
+    h = 1e-3 * (1.0 + np.linalg.norm(a, axis=-1))
+    step = h[..., None] * u
+    return (rm.circle_momentum(res, a + step) - rm.circle_momentum(res, a - step)) / (2.0 * h)
 
 
 def dual_pair_defect(res, a):
-    """(kernel_residual, subspace_distance) at an in-domain point.
+    """(kernel_residual, subspace_distance) at in-domain points a of shape (k, 4).
 
-    kernel_residual is the worst annihilation defect of the two closed-form
-    kernels, checked against both analytic and finite-difference
-    differentials.  subspace_distance compares the momentum kernel with the
-    symplectic orthogonal of the leaf-map kernel as projectors.
+    Returns two length-k arrays.  kernel_residual is the worst annihilation
+    defect of the two closed-form kernels at each point, checked against both
+    analytic and finite-difference differentials.  subspace_distance is the
+    max-norm distance of the projectors onto the momentum kernel and onto the
+    symplectic orthogonal of the leaf-map kernel.  Raises OffDomain when any
+    point lies outside the dual-pair domain.
     """
     a = np.asarray(a, dtype=float)
-    if not rm.in_domain(res, a):
+    if not np.all(rm.in_domain(res, a)):
         raise OffDomain(f"point outside the {res.sign} dual-pair domain")
-    r_basis = momentum_kernel_basis(res, a)
-    k = leaf_map_kernel(res, a)
-    jac = rm.leaf_map_jacobian(res, a)
+    k = rm.circle_generator(res, a)
+    k = k / np.linalg.norm(k, axis=-1, keepdims=True)
     grad = rm.circle_momentum_gradient(res, a)
+    basis = momentum_kernel_basis(res, a)
+    leaf = rm.leaf_map_jacobian(res, a) @ k[..., None]
+    residual = np.max(np.abs(np.concatenate([
+        leaf[..., 0],
+        (basis @ grad[..., None])[..., 0],
+        _fd_momentum_differential(res, a[..., None, :], basis)], axis=-1)), axis=-1)
 
-    residual = float(np.max(np.abs(jac @ k)))
-    for b in r_basis:
-        residual = max(residual, abs(float(grad @ b)))
-        residual = max(residual, abs(_fd_momentum_differential(res, a, b)))
-
-    omega_complement = ps.symplectic_orthogonal(res.sign, [k])
-    distance = ps.subspace_distance(r_basis, omega_complement)
+    g = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
+    w = ps.symplectic_normal(res.sign, k)
+    distance = np.max(np.abs(w[..., :, None] * w[..., None, :]
+                             - g[..., :, None] * g[..., None, :]), axis=(-2, -1))
     return residual, distance
 
 

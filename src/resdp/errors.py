@@ -5,10 +5,6 @@ class ResdpError(Exception):
     """Base class for all package errors."""
 
 
-class DegenerateBasis(ResdpError):
-    """Input vectors are numerically rank deficient."""
-
-
 class NotSkewHermitian(ResdpError):
     """Matrix fails the skew-Hermitian condition for the selected form."""
 

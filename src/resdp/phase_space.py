@@ -11,13 +11,10 @@ Hermitian product.
 
 import numpy as np
 
-from .errors import DegenerateBasis, NotSkewHermitian
+from .errors import NotSkewHermitian
 
 PLUS = "plus"
 MINUS = "minus"
-
-# Relative singular-value threshold for all rank decisions.
-RANK_TOL = 1e-10
 
 _SKEW_TOL = 1e-12
 
@@ -102,51 +99,14 @@ def symplectic_form(sign, u, v):
     return first - second if sign == PLUS else first + second
 
 
-def _numerical_rank(rows):
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+def symplectic_normal(sign, k):
+    """Unit normal w of the symplectic orthogonal of span{k}; broadcasts over (..., 4).
 
-
-def orthonormalize(vectors):
-    """Return an orthonormal (Euclidean) basis spanning the given vectors."""
-    rows = np.atleast_2d(np.asarray(vectors, dtype=float))
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, rows.shape[1]))
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return vt[:rank]
-
-
-def projector(vectors):
-    """Orthogonal projector onto the span of the given vectors."""
-    basis = orthonormalize(vectors)
-    if basis.shape[0] == 0:
-        return np.zeros((np.atleast_2d(vectors).shape[1],) * 2)
-    return basis.T @ basis
-
-
-def subspace_distance(vectors_a, vectors_b):
-    """Max-norm distance between the orthogonal projectors of two spans."""
-    return float(np.max(np.abs(projector(vectors_a) - projector(vectors_b))))
-
-
-def symplectic_orthogonal(sign, basis):
-    """Orthonormal basis of {u : form(u, b) = 0 for every b in basis}.
-
-    The input vectors must be linearly independent; rank is decided by
-    singular values with relative threshold 1e-10.
+    form(u, k) = u @ W @ k, so span{k}^omega is the hyperplane (W k)-perp,
+    whose orthogonal projector is I - w w^T.
     """
-    rows = np.atleast_2d(np.asarray(basis, dtype=float))
-    if _numerical_rank(rows) < rows.shape[0]:
-        raise DegenerateBasis(f"basis of {rows.shape[0]} vectors is rank deficient")
-    # form(u, b) = u @ W @ b, so the constraints are rows of (W @ b_i)^T.
-    w = omega_matrix(sign)
-    constraints = rows @ w.T
-    u, s, vt = np.linalg.svd(constraints)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    return [vt[i] for i in range(rank, 4)]
+    w = np.asarray(k, dtype=float) @ omega_matrix(sign).T
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
 def skew_defect(sign, xi):
@@ -157,11 +117,11 @@ def skew_defect(sign, xi):
     return float(np.max(np.abs(xi.conj().T @ g + g @ xi)))
 
 
-def momentum_pairing_diagnostic(sign, a, xi):
-    """Pairing (i/2)<a, xi(a)> with the imaginary residual as diagnostic.
+def momentum_pairing(sign, a, xi):
+    """Real pairing of the point a with a skew matrix xi: (i/2)<a, xi(a)>.
 
-    Returns (value, imag_residual).  Raises NotSkewHermitian when xi fails
-    the skew condition of the selected form.
+    Raises NotSkewHermitian when xi fails the skew condition of the selected
+    form.
     """
     if skew_defect(sign, xi) > _SKEW_TOL:
         raise NotSkewHermitian(
@@ -175,11 +135,4 @@ def momentum_pairing_diagnostic(sign, a, xi):
         inner = a1 * np.conj(b1) + a2 * np.conj(b2)
     else:
         inner = a1 * np.conj(b1) - a2 * np.conj(b2)
-    value = 0.5j * inner
-    return float(value.real), float(abs(value.imag))
-
-
-def momentum_pairing(sign, a, xi):
-    """Real pairing of the point a with a skew matrix xi: (i/2)<a, xi(a)>."""
-    value, _ = momentum_pairing_diagnostic(sign, a, xi)
-    return value
+    return float((0.5j * inner).real)

@@ -104,12 +104,6 @@ def hamiltonian_vf(structure, h, p):
     return np.cross(v, h.gradient(p))
 
 
-def nambu_bracket(c, f, g, p):
-    """Determinant bracket Jac(C, F, G) = grad C . (grad F x grad G)."""
-    p = np.asarray(p, dtype=float)
-    return float(c.gradient(p) @ np.cross(f.gradient(p), g.gradient(p)))
-
-
 def _fd_curl(structure, p, h):
     jac = central_difference(structure.field_at, p, h)
     return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])

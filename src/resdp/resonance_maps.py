@@ -90,20 +90,22 @@ def su11_momentum(a):
 
 
 def leaf_map_jacobian(res, a):
-    """3x4 Jacobian of leaf_map at a single point."""
+    """Jacobian of leaf_map, shape (..., 3, 4); broadcasts over points (..., 4).
+
+    w = X - iY has dw/dx1 = pa, dw/dy1 = i pa, dw/dx2 = pb, dw/dy2 = -i pb.
+    """
     a = np.asarray(a, dtype=float)
     a1, a2 = to_complex(a)
-    a1, a2 = complex(a1), complex(a2)
     n, m = res.n, res.m
     pa = m * int_pow(a1, m - 1) * int_pow(np.conj(a2), n)
     pb = n * int_pow(a1, m) * int_pow(np.conj(a2), n - 1)
-    dw = np.array([pa, 1j * pa, pb, -1j * pb])
     s = 1.0 if res.sign == PLUS else -1.0
-    return np.array([
-        dw.real,
-        -dw.imag,
-        [n * a[0], n * a[1], -s * m * a[2], -s * m * a[3]],
+    jac = np.array([
+        [pa.real, -pa.imag, pb.real, pb.imag],
+        [-pa.imag, -pa.real, -pb.imag, pb.real],
+        [n * a[..., 0], n * a[..., 1], -s * m * a[..., 2], -s * m * a[..., 3]],
     ])
+    return jac.transpose(*range(2, jac.ndim), 0, 1)
 
 
 def circle_generator(res, a):

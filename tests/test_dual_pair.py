@@ -14,18 +14,21 @@ def cpoint(a1, a2):
     return ps.from_complex(a1, a2)
 
 
+def unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 class TestKernelBases:
     def test_momentum_kernel_at_axis_point(self):
-        basis = dp.momentum_kernel_basis(Resonance(1, 1), cpoint(1.0, 0.0))
-        assert basis.shape == (3, 4)
+        basis = dp.momentum_kernel_basis(Resonance(1, 1), cpoint(1.0, 0.0)[None])
+        assert basis.shape == (1, 3, 4)
         want = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]])
-        assert ps.subspace_distance(basis, want) < 1e-12
+        assert np.max(np.abs(basis[0].T @ basis[0] - want.T @ want)) < 1e-12
 
     def test_momentum_kernel_minus_two_one(self):
-        basis = dp.momentum_kernel_basis(Resonance(2, 1, "minus"), cpoint(1.0, 1.0))
+        basis = dp.momentum_kernel_basis(Resonance(2, 1, "minus"), cpoint(1.0, 1.0)[None])
         normal = np.array([2.0, 0.0, -1.0, 0.0])
-        for b in basis:
-            assert abs(b @ normal) < 1e-12
+        assert np.max(np.abs(basis @ normal)) < 1e-12
 
     def test_momentum_kernel_annihilates_differential(self):
         # Analytic annihilation is exact; the FD cross-check carries the
@@ -34,65 +37,126 @@ class TestKernelBases:
         for sign in ("plus", "minus"):
             for _ in range(40):
                 res = Resonance(int(rng.integers(1, 5)), int(rng.integers(1, 5)), sign)
-                a = rng.uniform(-1.5, 1.5, size=4)
-                if np.linalg.norm(a) < 0.3:
-                    continue
+                a = rng.uniform(-1.5, 1.5, size=(8, 4))
+                a = a[np.linalg.norm(a, axis=1) >= 0.3]
                 grad = rm.circle_momentum_gradient(res, a)
-                for b in dp.momentum_kernel_basis(res, a):
-                    assert abs(grad @ b) < 1e-13 * (1.0 + np.linalg.norm(grad))
-                    assert abs(dp._fd_momentum_differential(res, a, b)) < 1e-9
+                basis = dp.momentum_kernel_basis(res, a)
+                assert basis.shape == (len(a), 3, 4)
+                assert np.allclose(basis @ basis.transpose(0, 2, 1), np.eye(3), atol=1e-14)
+                analytic = np.abs(basis @ grad[:, :, None])[:, :, 0]
+                assert np.all(analytic < 1e-13 * (1.0 + np.linalg.norm(grad, axis=1))[:, None])
+                fd = dp._fd_momentum_differential(res, a[:, None, :], basis)
+                assert fd.shape == (len(a), 3)
+                assert np.max(np.abs(fd)) < 1e-9
 
     def test_zero_point_rejected(self):
+        points = np.array([cpoint(1.0, 1.0), np.zeros(4)])
         with pytest.raises(ZeroPoint):
-            dp.momentum_kernel_basis(Resonance(1, 1), np.zeros(4))
+            dp.momentum_kernel_basis(Resonance(1, 1), points)
 
     def test_leaf_kernel_normalized_example(self):
-        got = dp.leaf_map_kernel(Resonance(2, 1), cpoint(1.0, 1.0))
-        assert np.allclose(got, np.array([0.0, 2.0, 0.0, 1.0]) / np.sqrt(5.0))
+        got = unit(rm.circle_generator(Resonance(2, 1), cpoint(1.0, 1.0)[None]))
+        assert np.allclose(got, np.array([[0.0, 2.0, 0.0, 1.0]]) / np.sqrt(5.0))
 
     def test_leaf_kernel_on_axis(self):
+        points = np.array([cpoint(1.0, 1.0), cpoint(1.0, 0.0)])
         with pytest.raises(OnAxis):
-            dp.leaf_map_kernel(Resonance(1, 1), cpoint(1.0, 0.0))
+            rm.circle_generator(Resonance(1, 1), points)
 
     def test_leaf_kernel_consistent_along_orbit(self):
         res = Resonance(3, 2)
         a = cpoint(0.8 + 0.1j, -0.5 + 0.6j)
-        for t in (0.3, 1.1, 4.0):
-            b = circle_flow(res, a, t)
-            k = dp.leaf_map_kernel(res, b)
-            jac = rm.leaf_map_jacobian(res, b)
-            assert np.max(np.abs(jac @ k)) < 1e-10
-            gen = rm.circle_generator(res, b)
-            gen = gen / np.linalg.norm(gen)
-            assert min(np.linalg.norm(k - gen), np.linalg.norm(k + gen)) < 1e-12
+        b = np.array([circle_flow(res, a, t) for t in (0.3, 1.1, 4.0)])
+        k = unit(rm.circle_generator(res, b))
+        jac = rm.leaf_map_jacobian(res, b)
+        assert jac.shape == (3, 3, 4)
+        assert np.max(np.abs(jac @ k[:, :, None])) < 1e-10
+        # The generator at the flowed point is the flowed generator.
+        moved = unit(np.array([circle_flow(res, rm.circle_generator(res, a), t)
+                               for t in (0.3, 1.1, 4.0)]))
+        assert np.max(np.abs(k - moved)) < 1e-12
 
 
 class TestDualPairDefect:
     def test_one_one_example(self):
-        kr, sd = dp.dual_pair_defect(Resonance(1, 1), cpoint(1.0, 1.0))
-        assert kr < 1e-9
-        assert sd < 1e-9
+        kr, sd = dp.dual_pair_defect(Resonance(1, 1), cpoint(1.0, 1.0)[None])
+        assert kr.shape == sd.shape == (1,)
+        assert kr[0] < 1e-9
+        assert sd[0] < 1e-9
 
     @pytest.mark.parametrize("n,m,sign", [(3, 2, "plus"), (2, 1, "minus"), (4, 4, "minus")])
     def test_random_fiber_points(self, n, m, sign):
         res = Resonance(n, m, sign)
         for c in (0.5, 1.5, 3.0):
-            for a in dp.fiber_sample(res, c, 40, seed=1):
-                kr, sd = dp.dual_pair_defect(res, a)
-                assert kr < 1e-9
-                assert sd < 1e-9
+            kr, sd = dp.dual_pair_defect(res, dp.fiber_sample(res, c, 40, seed=1))
+            assert kr.shape == sd.shape == (40,)
+            assert np.all(kr < 1e-9)
+            assert np.all(sd < 1e-9)
 
     def test_dimension_counts(self):
         res = Resonance(2, 3, "minus")
-        a = dp.fiber_sample(res, 1.5, 1, seed=2)[0]
+        a = dp.fiber_sample(res, 1.5, 5, seed=2)
         basis = dp.momentum_kernel_basis(res, a)
-        assert basis.shape[0] == 3
-        comp = ps.symplectic_orthogonal(res.sign, [dp.leaf_map_kernel(res, a)])
-        assert len(comp) == 3
+        assert basis.shape == (5, 3, 4)
+        assert np.allclose(np.linalg.svd(basis, compute_uv=False), 1.0)
+        w = ps.symplectic_normal(res.sign, rm.circle_generator(res, a))
+        complement = np.eye(4) - w[:, :, None] * w[:, None, :]
+        assert np.allclose(np.trace(complement, axis1=1, axis2=2), 3.0)
+        assert np.all(np.linalg.matrix_rank(complement) == 3)
 
     def test_off_domain_rejected(self):
         with pytest.raises(OffDomain):
-            dp.dual_pair_defect(Resonance(1, 1), cpoint(1.0, 0.0))
+            dp.dual_pair_defect(Resonance(1, 1), cpoint(1.0, 0.0)[None])
+
+    def test_one_off_domain_row_rejects_the_batch(self):
+        # An axis point, and a point on the excluded boundary |a1| = |a2|.
+        res = Resonance(1, 1, "minus")
+        for bad in (cpoint(1.0, 0.0), cpoint(1.0, 1.0)):
+            points = dp.fiber_sample(res, 1.5, 10, seed=3)
+            assert np.all(rm.in_domain(res, points))
+            points[4] = bad
+            with pytest.raises(OffDomain):
+                dp.dual_pair_defect(res, points)
+
+    @pytest.mark.parametrize("n,m,sign", [(3, 2, "plus"), (2, 3, "minus"), (4, 4, "minus")])
+    def test_batch_rows_match_single_points(self, n, m, sign):
+        res = Resonance(n, m, sign)
+        points = dp.fiber_sample(res, 1.5, 50, seed=4)
+        kr, sd = dp.dual_pair_defect(res, points)
+        for i, a in enumerate(points):
+            kr1, sd1 = dp.dual_pair_defect(res, a[None])
+            assert abs(kr1[0] - kr[i]) <= 1e-15
+            assert abs(sd1[0] - sd[i]) <= 1e-15
+
+    @pytest.mark.parametrize("n,m,sign", [(3, 2, "plus"), (2, 3, "minus")])
+    def test_swapped_generator_is_caught(self, monkeypatch, n, m, sign):
+        # Negative control: the generator of the m:n circle spans a line
+        # whose symplectic orthogonal is not ker dR, so the rank-1 distance
+        # must see it; it is not zero by construction.
+        res = Resonance(n, m, sign)
+        points = dp.fiber_sample(res, 1.5, 30, seed=5)
+        generator = rm.circle_generator
+        monkeypatch.setattr(rm, "circle_generator",
+                            lambda r, a: generator(Resonance(r.m, r.n, r.sign), a))
+        kr, sd = dp.dual_pair_defect(res, points)
+        assert np.max(sd) > 1e-2
+        assert np.max(kr) > 1e-2
+
+    @pytest.mark.parametrize("n,m,sign", [(3, 2, "plus"), (2, 3, "minus"), (4, 1, "minus")])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_matches_svd_projector_reference(self, monkeypatch, n, m, sign, swap):
+        # With the swapped generator the distance is of order one, so the
+        # rank-1 formula is checked against the SVD projectors on values
+        # that are not rounding noise.
+        res = Resonance(n, m, sign)
+        points = dp.fiber_sample(res, 1.5, 30, seed=6)
+        if swap:
+            generator = rm.circle_generator
+            monkeypatch.setattr(rm, "circle_generator",
+                                lambda r, a: generator(Resonance(r.m, r.n, r.sign), a))
+        _, sd = dp.dual_pair_defect(res, points)
+        want = np.array([_svd_projector_distance(res, a) for a in points])
+        assert np.max(np.abs(sd - want)) < 1e-14
 
     def test_report_passes(self):
         rep = check_dual_pair(Resonance(3, 2), samples=30, seed=3)
@@ -101,6 +165,15 @@ class TestDualPairDefect:
         assert rep.samples > 0
         assert defects["kernel_residual"] < 1e-9
         assert defects["subspace_distance"] < 1e-9
+
+
+def _svd_projector_distance(res, a):
+    """The former per-point distance: SVD bases of both hyperplanes, then projectors."""
+    grad = rm.circle_momentum_gradient(res, a)
+    normal = ps.omega_matrix(res.sign) @ rm.circle_generator(res, a)
+    r_basis = np.linalg.svd(grad[None, :])[2][1:]
+    w_basis = np.linalg.svd(normal[None, :])[2][1:]
+    return np.max(np.abs(r_basis.T @ r_basis - w_basis.T @ w_basis))
 
 
 class TestFiberSample:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resdp import phase_space as ps
-from resdp.errors import DegenerateBasis, NotSkewHermitian
+from resdp.errors import NotSkewHermitian
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -84,36 +84,50 @@ class TestMetricAndForm:
                 assert u @ w @ v == pytest.approx(ps.symplectic_form(sign, u, v), abs=1e-14)
 
 
-class TestSymplecticOrthogonal:
-    def test_full_space_gives_empty(self):
-        assert ps.symplectic_orthogonal("plus", np.eye(4)) == []
+def complement_projector(sign, k):
+    """I - w w^T: the projector onto the symplectic orthogonal of span{k}."""
+    w = ps.symplectic_normal(sign, k)
+    return np.eye(4) - w[..., :, None] * w[..., None, :]
 
+
+class TestSymplecticOrthogonal:
     def test_single_vector_plus(self):
         # w(u, e1) = u_y1, so the complement is the g-orthogonal of e2.
-        basis = ps.symplectic_orthogonal("plus", [E1])
-        assert len(basis) == 3
-        assert ps.subspace_distance(basis, [E1, E3, E4]) < 1e-12
+        assert np.allclose(np.abs(ps.symplectic_normal("plus", E1)), E2)
+        want = sum(np.outer(e, e) for e in (E1, E3, E4))
+        assert np.max(np.abs(complement_projector("plus", E1) - want)) < 1e-15
 
     def test_single_vector_minus(self):
-        basis = ps.symplectic_orthogonal("minus", [E3])
-        assert len(basis) == 3
-        for b in basis:
-            assert abs(ps.symplectic_form("minus", b, E3)) < 1e-14
+        proj = complement_projector("minus", E3)
+        assert np.trace(proj) == pytest.approx(3.0, abs=1e-15)
+        for col in proj.T:
+            assert abs(ps.symplectic_form("minus", col, E3)) < 1e-14
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_random_complement_is_a_rank_three_projector(self, sign):
+        rng = np.random.default_rng(5)
+        k = rng.normal(size=(200, 4))
+        proj = complement_projector(sign, k)
+        assert np.max(np.abs(proj @ proj - proj)) < 1e-14
+        assert np.max(np.abs(np.trace(proj, axis1=1, axis2=2) - 3.0)) < 1e-14
+        # Every column is omega-orthogonal to k.
+        form = ps.symplectic_form(sign, proj.transpose(0, 2, 1), k[:, None, :])
+        scale = np.linalg.norm(k, axis=1)[:, None]
+        assert np.max(np.abs(form) / scale) < 1e-14
 
     def test_dimension_count_and_double_orthogonal(self):
+        # A line is isotropic, so k lies in its own symplectic orthogonal,
+        # a hyperplane; the symplectic orthogonal of that hyperplane, the
+        # span of W^T w, is the line again.
         rng = np.random.default_rng(5)
         for sign in ("plus", "minus"):
-            for dim in (1, 2, 3):
-                for _ in range(25):
-                    v = rng.normal(size=(dim, 4))
-                    w = ps.symplectic_orthogonal(sign, v)
-                    assert len(w) == 4 - dim
-                    back = ps.symplectic_orthogonal(sign, w)
-                    assert ps.subspace_distance(back, v) < 1e-10
-
-    def test_degenerate_basis_rejected(self):
-        with pytest.raises(DegenerateBasis):
-            ps.symplectic_orthogonal("plus", [E1, 2 * E1])
+            k = rng.normal(size=(25, 4))
+            proj = complement_projector(sign, k)
+            assert np.allclose(np.linalg.matrix_rank(proj), 3)
+            assert np.max(np.abs((proj @ k[:, :, None])[:, :, 0] - k)) < 1e-13
+            back = ps.symplectic_normal(sign, k) @ ps.omega_matrix(sign)
+            unit = k / np.linalg.norm(k, axis=1, keepdims=True)
+            assert np.max(np.abs(np.abs(np.sum(back * unit, axis=1)) - 1.0)) < 1e-14
 
 
 class TestMomentumPairing:
@@ -135,8 +149,11 @@ class TestMomentumPairing:
             v = rng.normal(size=3)
             xi = np.array([[1j * v[2], 1j * v[0] + v[1]],
                            [1j * v[0] - v[1], -1j * v[2]]])
-            _, resid = ps.momentum_pairing_diagnostic("plus", a, xi)
-            assert resid < 1e-12
+            a1, a2 = ps.to_complex(a)
+            b = ps.from_complex(xi[0, 0] * a1 + xi[0, 1] * a2, xi[1, 0] * a1 + xi[1, 1] * a2)
+            value = 0.5j * ps.hermitian("plus", a, b)
+            assert abs(value.imag) < 1e-12
+            assert ps.momentum_pairing("plus", a, xi) == value.real
 
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewHermitian):

@@ -111,32 +111,44 @@ class TestHamiltonianVF:
             assert abs(vf @ h.gradient(p)) < 1e-12
 
 
+def nambu(c, f, g, p):
+    """Jac(C, F, G): the bracket of F and G under the gradient structure of C."""
+    return poisson3.bracket(PoissonStructure3(field=c.gradient), f, g, p)
+
+
 class TestNambu:
     def test_coordinates(self):
-        assert poisson3.nambu_bracket(FZ, FX, FY, [0.1, 0.2, 0.3]) == 1.0
+        assert nambu(FZ, FX, FY, [0.1, 0.2, 0.3]) == 1.0
 
     def test_radius_squared(self):
         r2 = ScalarField(lambda p: p @ p, lambda p: 2.0 * p)
-        assert poisson3.nambu_bracket(r2, FX, FY, [0.0, 0.0, 1.0]) == 2.0
+        assert nambu(r2, FX, FY, [0.0, 0.0, 1.0]) == 2.0
 
     def test_repeated_argument_vanishes(self):
-        assert poisson3.nambu_bracket(FX, FX, FY, [1.0, 2.0, 3.0]) == 0.0
+        assert nambu(FX, FX, FY, [1.0, 2.0, 3.0]) == 0.0
 
     def test_totally_antisymmetric(self):
         rng = np.random.default_rng(4)
         p = rng.normal(size=3)
-        base = poisson3.nambu_bracket(FX, FY, FZ, p)
-        assert poisson3.nambu_bracket(FY, FX, FZ, p) == pytest.approx(-base, abs=1e-14)
-        assert poisson3.nambu_bracket(FZ, FX, FY, p) == pytest.approx(base, abs=1e-14)
+        base = nambu(FX, FY, FZ, p)
+        assert nambu(FY, FX, FZ, p) == pytest.approx(-base, abs=1e-14)
+        assert nambu(FZ, FX, FY, p) == pytest.approx(base, abs=1e-14)
 
     def test_matches_gradient_structure(self):
-        c = ScalarField(lambda p: p @ p, lambda p: 2.0 * p)
-        s = PoissonStructure3(field=lambda p: 2.0 * p)
+        # {F, G} of the structure v = grad C is the determinant of the
+        # three gradients.
+        fields = [ScalarField(lambda p: p @ p, lambda p: 2.0 * p),
+                  ScalarField(lambda p: p[0] * p[1] * p[2],
+                              lambda p: np.array([p[1] * p[2], p[0] * p[2], p[0] * p[1]])),
+                  ScalarField(lambda p: np.sin(p[0]) + p[2] ** 2,
+                              lambda p: np.array([np.cos(p[0]), 0.0, 2.0 * p[2]]))]
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = rng.normal(size=3)
-            assert poisson3.nambu_bracket(c, FX, FY, p) == pytest.approx(
-                poisson3.bracket(s, FX, FY, p), abs=1e-12)
+            c, f, g = (fields[i] for i in rng.permutation(3))
+            s = PoissonStructure3(field=c.gradient)
+            det = np.linalg.det(np.array([c.gradient(p), f.gradient(p), g.gradient(p)]))
+            assert poisson3.bracket(s, f, g, p) == pytest.approx(det, abs=1e-12)
 
 
 class TestIntegrability:

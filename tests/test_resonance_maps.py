@@ -125,6 +125,35 @@ class TestJacobian:
                 assert np.max(np.abs(jac[:, i] - fd)) < 1e-7 * scale
 
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_batch_matches_per_point_complex_reference(self, sign):
+        # A single point runs in numpy scalars and gives the bits of the
+        # former per-point formula; batch rows go through array loops, whose
+        # complex products may round differently in the last place.
+        rng = np.random.default_rng(5)
+        for n in range(1, 5):
+            for m in range(1, 5):
+                res = Resonance(n, m, sign)
+                a = rng.uniform(-1.5, 1.5, size=(2, 25, 4))
+                jac = rm.leaf_map_jacobian(res, a)
+                assert jac.shape == (2, 25, 3, 4)
+                for idx in np.ndindex(2, 25):
+                    want = _reference_jacobian(res, a[idx])
+                    assert np.array_equal(rm.leaf_map_jacobian(res, a[idx]), want)
+                    scale = 1.0 + np.max(np.abs(want))
+                    assert np.max(np.abs(jac[idx] - want)) <= 4e-16 * scale
+
+
+def _reference_jacobian(res, a):
+    a1, a2 = (complex(z) for z in ps.to_complex(a))
+    n, m = res.n, res.m
+    pa = m * ps.int_pow(a1, m - 1) * ps.int_pow(np.conj(a2), n)
+    pb = n * ps.int_pow(a1, m) * ps.int_pow(np.conj(a2), n - 1)
+    dw = np.array([pa, 1j * pa, pb, -1j * pb])
+    s = 1.0 if res.sign == "plus" else -1.0
+    return np.array([dw.real, -dw.imag, [n * a[0], n * a[1], -s * m * a[2], -s * m * a[3]]])
+
+
 class TestCircleGenerator:
     def test_example_two_one(self):
         got = rm.circle_generator(Resonance(2, 1), cpoint(1.0, 1.0))

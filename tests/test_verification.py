@@ -3,8 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from resdp import casimir, dual_pair as dp, verification as vf
-from resdp.errors import EmptyFiber, OffDomain
+from resdp import casimir, dual_pair as dp, resonance_maps as rm, verification as vf
+from resdp.errors import EmptyFiber, OffDomain, ResdpError
 from resdp.resonance_maps import Resonance
 
 
@@ -125,6 +125,45 @@ class TestSampleLeafPoints:
         monkeypatch.setattr(casimir, "leaf_field", broken)
         with pytest.raises(ZeroDivisionError):
             vf.sample_leaf_points(Resonance(2, 1), 2, seed=3)
+
+
+    @pytest.mark.parametrize("n,m,sign", [(2, 4, "minus"), (3, 4, "minus"),
+                                          (1, 1, "minus"), (3, 2, "plus")])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_early_rejection_keeps_the_accepted_points(self, n, m, sign, seed):
+        res = Resonance(n, m, sign)
+        want = _reference_sample_leaf_points(res, 12, seed)
+        assert np.array_equal(vf.sample_leaf_points(res, 12, seed), want)
+
+    def test_field_bound_behind_the_early_rejection(self):
+        # |mn leaf_field| >= 2 mn |(x, y)|, from the (x, y) part of the field.
+        for sign in ("plus", "minus"):
+            for n, m in ((1, 1), (2, 4), (4, 3)):
+                res = Resonance(n, m, sign)
+                for p in vf._leaf_points(res, 20, np.random.default_rng(n + m)):
+                    field = res.mn * casimir.leaf_field(res, p)
+                    assert np.linalg.norm(field) >= 2.0 * res.mn * np.hypot(p[0], p[1])
+
+
+def _reference_sample_leaf_points(res, count, seed):
+    """sample_leaf_points without its early rejection: both solves for every candidate."""
+    rng = np.random.default_rng(seed)
+    base = float(res.n) ** res.m * float(res.m) ** res.n
+    pts = []
+    while len(pts) < count:
+        c = (rng.uniform(0.02, 1.2) * base) ** (1.0 / (res.n + res.m))
+        p = rm.leaf_map(res, dp.fiber_sample(res, c, 1, seed=int(rng.integers(1 << 31)))[0])
+        if not casimir.in_leaf_domain(res, p):
+            continue
+        try:
+            ev = casimir.solve_casimir(res, p)
+            field = res.mn * casimir.leaf_field(res, p)
+        except ResdpError:
+            continue
+        if np.linalg.norm(field) > 8.0 or np.linalg.norm(ev.gradient) > 8.0:
+            continue
+        pts.append(p)
+    return np.array(pts)
 
 
 class TestDualPairCheck:
