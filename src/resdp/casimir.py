@@ -138,7 +138,9 @@ def _solve_plus(n, m, rho2, z):
     lo = az * (1.0 + 1e-12) + 1e-300
     val, _ = _eval(n, m, m, rho2, z, lo)
     if val >= 0.0:
-        # Root pinched between |z| and lo; tighten the left endpoint.
+        # Root pinched between |z| and lo; tighten the left endpoint.  At
+        # lo == |z| the product is 0 and val = -rho2 < 0, so the loop can only
+        # run out where the product overflows there (inf * 0 = nan).
         hi = lo
         for _ in range(64):
             lo = az + (lo - az) / 16.0
@@ -163,12 +165,99 @@ def _solve_minus(n, m, rho2, z):
     return _newton_bisect(lambda r: _eval(n, m, -m, rho2, z, r), 0.0, abs(z), False)
 
 
-def solve_casimir(res, p):
-    """Casimir value, gradient, and diagnostics at a leaf point.
+def _newton_bisect_rows(n, m, sm, rho2, z, lo, hi):
+    """_newton_bisect on arrays of brackets, each row taking the scalar steps.
 
-    Raises OffDomain when p is on the z axis (either family) or outside the
-    open set of the unbounded family.
+    Every row sees the float operations of the scalar driver in the same
+    order, so roots and iteration counts are bit-identical to it.  Rows
+    that stop leave the active set; the rest go on.  The root is increasing
+    in the residual's sign exactly when sm > 0.
     """
+    value = np.empty_like(lo)
+    iterations = np.empty(len(lo), dtype=np.int64)
+    rows = np.arange(len(lo))
+    r = 0.5 * (lo + hi)
+    for it in range(1, _MAX_ITER + 1):
+        val, dval = _eval(n, m, sm, rho2, z, r)
+        below = (val < 0.0) if sm > 0 else (val > 0.0)
+        lo = np.where(below, r, lo)
+        hi = np.where(below, hi, r)
+        slope = dval != 0.0
+        candidate = r - val / np.where(slope, dval, 1.0)
+        done = (val == 0.0) | (hi - lo < _WIDTH_TOL * (1.0 + r)) | (slope & (candidate == r))
+        value[rows[done]] = r[done]
+        iterations[rows[done]] = it
+        r = np.where(slope & (lo < candidate) & (candidate < hi), candidate, 0.5 * (lo + hi))
+        more = ~done
+        if not more.any():
+            return value, iterations
+        rows, r, lo, hi, rho2, z = rows[more], r[more], lo[more], hi[more], rho2[more], z[more]
+    raise NoConvergence(f"no root to width tolerance after {_MAX_ITER} iterations")
+
+
+def _solve_plus_rows(n, m, rho2, z):
+    """_solve_plus on arrays: the same brackets, then one Newton-bisection over the rows."""
+    az = np.abs(z)
+    lo = az * (1.0 + 1e-12) + 1e-300
+    pinched = _eval(n, m, m, rho2, z, lo)[0] >= 0.0
+    hi = np.where(pinched, lo, np.maximum(az + 1.0, 2.0 * lo))
+    tight = np.flatnonzero(pinched)
+    for _ in range(64):
+        if not tight.size:
+            break
+        lo[tight] = az[tight] + (lo[tight] - az[tight]) / 16.0
+        tight = tight[~(_eval(n, m, m, rho2[tight], z[tight], lo[tight])[0] < 0.0)]
+        hi[tight] = lo[tight]
+    grow = np.flatnonzero(~pinched)
+    for doublings in range(1, 302):
+        grow = grow[_eval(n, m, m, rho2[grow], z[grow], hi[grow])[0] <= 0.0]
+        if not grow.size:
+            break
+        if doublings > 300:
+            raise NoConvergence("upper bracket search failed")
+        hi[grow] *= 2.0
+    # Rows still tight after 64 steps take the pinched early return (hi, 1).
+    value, iterations = hi.copy(), np.ones(len(hi), dtype=np.int64)
+    rest = np.ones(len(hi), dtype=bool)
+    rest[tight] = False
+    value[rest], iterations[rest] = _newton_bisect_rows(n, m, m, rho2[rest], z[rest],
+                                                        lo[rest], hi[rest])
+    return value, iterations
+
+
+def _solve_rows(res, rho2, z):
+    """Roots and iteration counts at the rows (rho2, z), as the scalar driver finds them."""
+    if res.sign == PLUS:
+        return _solve_plus_rows(res.n, res.m, rho2, z)
+    return _newton_bisect_rows(res.n, res.m, -res.m, rho2, z, np.zeros_like(z), np.abs(z))
+
+
+def solve_casimir(res, p):
+    """Casimir value, gradient, and diagnostics at a leaf point or a batch of them.
+
+    A single point (shape (3,)) runs the scalar driver in Python floats.  A
+    batch (shape (k, 3)) runs the array driver, which gives each row the
+    same float operations, so the same bits, at a fraction of the cost per
+    point; its value and residual have shape (k,), its gradient (k, 3), and
+    its iterations are summed over the rows.  Raises OffDomain when a point
+    is on the z axis (either family) or outside the open set of the
+    unbounded family.
+    """
+    sm = res.m if res.sign == PLUS else -res.m
+    if isinstance(p, np.ndarray) and p.ndim > 1:
+        inside = in_leaf_domain(res, p)
+        if not inside.all():
+            bad = tuple(p[np.argmin(inside)])
+            raise OffDomain(f"point {bad} outside the {res.sign} Casimir domain")
+        x, y, z = p.T
+        rho2 = x * x + y * y
+        with np.errstate(all="ignore"):
+            # Python floats overflow to inf and nan silently; so do the rows.
+            value, iterations = _solve_rows(res, rho2, z)
+            residual = np.abs(_eval(res.n, res.m, sm, rho2, z, value)[0])
+            gradient = _gradient_from_value(res, x, y, z, rho2, value).T
+        return CasimirEval(value=value, gradient=gradient,
+                           iterations=int(iterations.sum()), residual=residual)
     x, y, z = (float(c) for c in p)
     rho2 = x * x + y * y
     if not in_leaf_domain(res, (x, y, z)):
@@ -177,7 +266,6 @@ def solve_casimir(res, p):
         value, iterations = _solve_plus(res.n, res.m, rho2, z)
     else:
         value, iterations = _solve_minus(res.n, res.m, rho2, z)
-    sm = res.m if res.sign == PLUS else -res.m
     residual = abs(_eval(res.n, res.m, sm, rho2, z, value)[0])
     gradient = _gradient_from_value(res, x, y, z, rho2, value)
     return CasimirEval(value=value, gradient=gradient,

@@ -124,7 +124,9 @@ def fiber_sample(res, c, count, seed=42):
     open dual-pair domain; when n < m the admissible s interval on a c > 0
     fiber is bounded and the window is clipped to it (shrunk into it when
     the default window misses it entirely).  For c > 0 every minus sample
-    also lies in the positive-momentum part of the domain.
+    also lies in the positive-momentum part of the domain; for c <= 0 a draw
+    with |a1|^2 <= 0 is rejected too.  Minus draws are taken in blocks of the
+    points still needed, up to 200 * count (at least 1000) draws.
     """
     rng = np.random.default_rng(seed)
     if res.sign == PLUS:
@@ -144,24 +146,32 @@ def fiber_sample(res, c, count, seed=42):
             s_lo, s_hi = 0.02 * s_max, 0.98 * s_max
         else:
             s_hi = min(s_hi, 0.999 * s_max)
-    samples = []
-    attempts = 0
+    # Each draw takes three uniforms (s and two phases), scaled as
+    # rng.uniform scales them, so a block of draws gives the points of the
+    # same draws taken one at a time.
+    blocks = [np.empty((0, 4))]
+    found = drawn = 0
     max_attempts = max(1000, 200 * count)
-    while len(samples) < count:
-        attempts += 1
-        if attempts > max_attempts:
-            raise EmptyFiber(f"rejection sampling found {len(samples)}/{count} "
+    while found < count:
+        size = min(count - found, max_attempts - drawn)
+        if size == 0:
+            raise EmptyFiber(f"rejection sampling found {found}/{count} "
                              f"points on the fiber c={c}")
-        s = rng.uniform(s_lo, s_hi)
+        u = rng.random((size, 3))
+        drawn += size
+        s = s_lo + (s_hi - s_lo) * u[:, 0]
         r1 = (2.0 * c + res.m * s) / res.n
-        if r1 <= 0.0:
-            continue
-        ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        a = ps.from_complex(np.sqrt(r1) * np.exp(1j * ph1),
-                            np.sqrt(s) * np.exp(1j * ph2))
-        if rm.in_domain(res, a):
-            samples.append(a)
-    return np.array(samples)
+        ph = 2.0 * np.pi * u[:, 1:]
+        if c <= 0.0:
+            # Only a level c <= 0 leaves |a1|^2 = r1 <= 0 for some s.
+            keep = r1 > 0.0
+            s, r1, ph = s[keep], r1[keep], ph[keep]
+        a = ps.from_complex(np.sqrt(r1) * np.exp(1j * ph[:, 0]),
+                            np.sqrt(s) * np.exp(1j * ph[:, 1]))
+        a = a[rm.in_domain(res, a)]
+        blocks.append(a)
+        found += len(a)
+    return np.concatenate(blocks)[:count]
 
 
 def leaf_correspondence_check(res, c, count, seed=42):
@@ -175,9 +185,7 @@ def leaf_correspondence_check(res, c, count, seed=42):
     if c <= 0.0:
         raise ValueError("leaf correspondence is checked for c > 0 only")
     points = fiber_sample(res, c, count, seed=seed)
-    worst = 0.0
-    for a in points:
-        p = rm.leaf_map(res, a)
-        worst = max(worst, abs(casimir.solve_casimir(res, p).value - c))
+    value = casimir.solve_casimir(res, rm.leaf_map(res, points)).value
+    worst = float(np.max(np.abs(value - c), initial=0.0))
     return {"resonance": (res.n, res.m, res.sign), "c": c,
             "samples": len(points), "seed": seed, "max_deviation": worst}

@@ -125,21 +125,26 @@ def _rk4(rhs, y0, dt, steps, accept):
 
     rhs(t, y) receives the stage time, so a stage that leaves its domain can
     report when.  accept(y, k) runs on the state after step k and raises to
-    reject it.
+    reject it.  An OverflowError inside a step becomes StepRejected.
     """
     out = np.empty((steps + 1, len(y0)))
     out[0] = y0
     y = y0
     half = 0.5 * dt
-    for k in range(steps):
-        t = k * dt
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, y + half * k1)
-        k3 = rhs(t + half, y + half * k2)
-        k4 = rhs((k + 1) * dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        accept(y, k + 1)
-        out[k + 1] = y
+    k = 0
+    try:
+        for k in range(steps):
+            t = k * dt
+            k1 = rhs(t, y)
+            k2 = rhs(t + half, y + half * k1)
+            k3 = rhs(t + half, y + half * k2)
+            k4 = rhs((k + 1) * dt, y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            accept(y, k + 1)
+            out[k + 1] = y
+    except OverflowError as exc:
+        # Python float and complex powers raise where numpy would give inf.
+        raise StepRejected(f"arithmetic overflow in step {k + 1}: {exc}") from exc
     return out
 
 
@@ -149,8 +154,10 @@ def _step_count(dt, total):
     return int(round(total / dt))
 
 
-def _blowup(k):
-    return StepRejected(f"state norm exceeded {_BLOWUP_NORM:g} at step {k}")
+def _guard_norm(norm, k):
+    """StepRejected unless norm <= _BLOWUP_NORM, which a NaN norm fails too."""
+    if not norm <= _BLOWUP_NORM:
+        raise StepRejected(f"state norm {norm:g} beyond {_BLOWUP_NORM:g} at step {k}")
 
 
 def _upstairs_states(sign, grad, a0, dt, steps):
@@ -159,8 +166,7 @@ def _upstairs_states(sign, grad, a0, dt, steps):
     omega = ps.omega_matrix(sign)
 
     def accept(a, k):
-        if np.linalg.norm(a) > _BLOWUP_NORM:
-            raise _blowup(k)
+        _guard_norm(np.linalg.norm(a), k)
 
     return _rk4(lambda t, a: omega @ grad(a), np.asarray(a0, dtype=float), dt, steps, accept)
 
@@ -197,8 +203,7 @@ def _downstairs_states(res, hamiltonian, p0, dt, steps):
         return np.array([vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx])
 
     def accept(p, k):
-        if abs(p[0]) + abs(p[1]) + abs(p[2]) > _BLOWUP_NORM:
-            raise _blowup(k)
+        _guard_norm(abs(p[0]) + abs(p[1]) + abs(p[2]), k)
         if not casimir.in_leaf_domain(res, p, _AXIS_MARGIN):
             raise DomainExit(k * dt)
 
@@ -209,13 +214,13 @@ def flow_downstairs(res, hamiltonian, p0, dt, total_time):
     """Flow of v x grad H for the resonance structure (field m*n*leaf_field).
 
     The field solves the Casimir once, at p0; the C log solves it at every
-    state.  Leaving the structure domain raises DomainExit with the time of
-    the offending stage or step rather than extrapolating.
+    state, in one batch.  Leaving the structure domain raises DomainExit with
+    the time of the offending stage or step rather than extrapolating.
     """
     steps = _step_count(dt, total_time)
     out = _downstairs_states(res, hamiltonian, p0, dt, steps)
     times = dt * np.arange(steps + 1)
-    cvals = np.array([casimir.solve_casimir(res, q).value for q in out])
+    cvals = casimir.solve_casimir(res, out).value
     hvals = hamiltonian.value(out)
     return Trajectory(times=times, states=out, conserved={"C": cvals, "H": hvals})
 
@@ -240,13 +245,19 @@ def pushforward_defect(res, hamiltonian, a0, dt, total_time):
 
 
 def conservation_report(res, a0, t_grid):
-    """Max drift of (X, Y, Z, R) along the exact circle flow over a time grid."""
+    """Max drift of (X, Y, Z, R) along the exact circle flow over a time grid.
+
+    Broadcasts over start points a0 of shape (..., 4); every entry then has
+    the leading shape of a0.
+    """
     a0 = np.asarray(a0, dtype=float)
-    base = np.append(rm.leaf_map(res, a0), rm.circle_momentum(res, a0))
-    worst = np.zeros(4)
-    for t in t_grid:
-        a = circle_flow(res, a0, t)
-        now = np.append(rm.leaf_map(res, a), rm.circle_momentum(res, a))
-        worst = np.maximum(worst, np.abs(now - base))
-    return {"dX": worst[0], "dY": worst[1], "dZ": worst[2], "dR": worst[3],
-            "max": float(np.max(worst))}
+    t = np.reshape(np.asarray(t_grid, dtype=float), (-1,) + (1,) * (a0.ndim - 1))
+
+    def invariants(a):
+        return np.concatenate([rm.leaf_map(res, a), rm.circle_momentum(res, a)[..., None]],
+                              axis=-1)
+
+    worst = np.max(np.abs(invariants(circle_flow(res, a0, t)) - invariants(a0)),
+                   axis=0, initial=0.0)
+    return {"dX": worst[..., 0], "dY": worst[..., 1], "dZ": worst[..., 2],
+            "dR": worst[..., 3], "max": np.max(worst, axis=-1)}

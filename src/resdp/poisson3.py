@@ -23,13 +23,21 @@ from .phase_space import PLUS
 def central_difference(fn, p, h):
     """Central differences (fn(p + h e_i) - fn(p - h e_i)) / (2h) along every axis.
 
-    A scalar fn gives the gradient; a vector-valued fn gives the Jacobian,
-    whose column i is the difference along axis i.
+    At one point p, a scalar fn gives the gradient and a vector-valued fn the
+    Jacobian, whose column i is the difference along axis i.  At a batch of
+    points p (k, d) with steps h (k,), fn is scalar-valued on batches and is
+    called once, on all 2 d k stencil points; the result is (k, d).
     """
     p = np.asarray(p, dtype=float)
+    d = p.shape[-1]
+    if p.ndim > 1:
+        h = np.asarray(h, dtype=float)[:, None]
+        step = np.eye(d) * h[..., None]
+        vals = fn((p[:, None, :] + np.stack([step, -step])).reshape(-1, d)).reshape(2, -1, d)
+        return (vals[0] - vals[1]) / (2.0 * h)
     cols = []
-    for i in range(p.shape[-1]):
-        e = np.zeros(p.shape[-1])
+    for i in range(d):
+        e = np.zeros(d)
         e[i] = h
         cols.append((fn(p + e) - fn(p - e)) / (2.0 * h))
     return np.array(cols).T

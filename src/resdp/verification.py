@@ -119,7 +119,10 @@ def check_identity(res, samples=10000, seed=42, tol=None):
 
 
 def check_casimir(res, samples=2000, seed=42, tol=None):
-    """Closed-form oracles, composition with the leaf map, gradient vs FD."""
+    """Closed-form oracles, composition with the leaf map, gradient vs FD.
+
+    Every detail solves its points in one batch.
+    """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     details = []
@@ -127,24 +130,20 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
 
     if res.sign == PLUS:
         rho2 = rng.uniform(0.05, 4.0, size=max(samples // 4, 16))
-        worst = 0.0
-        for r2 in rho2:
-            p = np.array([np.sqrt(r2), 0.0, 0.0])
-            got = casimir.solve_casimir(res, p).value
-            want = (float(res.n) ** res.m * float(res.m) ** res.n * r2) ** (1.0 / (res.n + res.m))
-            worst = max(worst, abs(got - want) / want)
-        details.append({"name": "closed_form_equator", "defect": worst,
+        got = casimir.solve_casimir(res, np.sqrt(rho2)[:, None] * [1.0, 0.0, 0.0]).value
+        # Python float powers: numpy's array power rounds differently.
+        scale = float(res.n) ** res.m * float(res.m) ** res.n
+        want = np.array([(scale * r2) ** (1.0 / (res.n + res.m)) for r2 in rho2.tolist()])
+        details.append({"name": "closed_form_equator",
+                        "defect": float(np.max(np.abs(got - want) / want)),
                         "tolerance": rel_tol})
     if res.n == 1 and res.m == 1:
         pts = _leaf_points(res, max(samples // 4, 16), rng)
-        worst = 0.0
-        for p in pts:
-            got = casimir.solve_casimir(res, p).value
-            s = p[0] ** 2 + p[1] ** 2 + p[2] ** 2 if res.sign == PLUS \
-                else p[2] ** 2 - p[0] ** 2 - p[1] ** 2
-            want = np.sqrt(s)
-            worst = max(worst, abs(got - want) / want)
-        details.append({"name": "closed_form_quadric", "defect": worst,
+        got = casimir.solve_casimir(res, pts).value
+        x, y, z = pts.T
+        want = np.sqrt(x * x + y * y + z * z if res.sign == PLUS else z * z - x * x - y * y)
+        details.append({"name": "closed_form_quadric",
+                        "defect": float(np.max(np.abs(got - want) / want)),
                         "tolerance": rel_tol, "points": len(pts)})
 
     if res.sign == PLUS:
@@ -156,34 +155,28 @@ def check_casimir(res, samples=2000, seed=42, tol=None):
         per_level = max(1, samples // len(_LEVELS))
         a = np.vstack([dual_pair.fiber_sample(res, c, per_level, seed=seed + 1 + i)
                        for i, c in enumerate(_LEVELS)])
-    worst_comp, worst_resid = 0.0, 0.0
-    eps = np.finfo(float).eps
-    for point in a:
-        r = float(rm.circle_momentum(res, point))
-        p = rm.leaf_map(res, point)
-        if not casimir.in_leaf_domain(res, p):
-            # The projected point can fall off the open set at rounding level.
-            continue
-        ev = casimir.solve_casimir(res, p)
-        worst_comp = max(worst_comp, abs(ev.value - r) / abs(r))
-        rho2 = p[0] ** 2 + p[1] ** 2
-        # Residual floor: the root granularity |d/dr| * ulp(value).
-        slope = abs(rho2 * (res.m / (ev.value + p[2]) + res.n / (ev.value - p[2])))
-        bound = max(1e-13 * (1.0 + rho2), 4.0 * slope * eps * ev.value)
-        worst_resid = max(worst_resid, ev.residual / bound)
-    details.append({"name": "composition_recovers_momentum", "defect": worst_comp,
+    p = rm.leaf_map(res, a)
+    # The projected point can fall off the open set at rounding level.
+    inside = casimir.in_leaf_domain(res, p)
+    p, r = p[inside], rm.circle_momentum(res, a[inside])
+    ev = casimir.solve_casimir(res, p)
+    rho2 = p[:, 0] ** 2 + p[:, 1] ** 2
+    # Residual floor: the root granularity |d/dr| * ulp(value).
+    slope = np.abs(rho2 * (res.m / (ev.value + p[:, 2]) + res.n / (ev.value - p[:, 2])))
+    bound = np.maximum(1e-13 * (1.0 + rho2), 4.0 * slope * np.finfo(float).eps * ev.value)
+    details.append({"name": "composition_recovers_momentum",
+                    "defect": float(np.max(np.abs(ev.value - r) / np.abs(r), initial=0.0)),
                     "tolerance": _tol(tol, 1e-10)})
-    details.append({"name": "solver_residual_vs_bound", "defect": worst_resid,
+    details.append({"name": "solver_residual_vs_bound",
+                    "defect": float(np.max(ev.residual / bound, initial=0.0)),
                     "tolerance": 1.0})
 
     pts = _leaf_points(res, max(samples // 4, 16), np.random.default_rng(seed + 2))
-    worst_grad = 0.0
-    for p in pts:
-        grad = casimir.solve_casimir(res, p).gradient
-        fd = poisson3.central_difference(lambda q: casimir.solve_casimir(res, q).value, p,
-                                         1e-6 * (1.0 + np.linalg.norm(p)))
-        worst_grad = max(worst_grad, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
-    details.append({"name": "gradient_vs_fd", "defect": worst_grad,
+    grad = casimir.solve_casimir(res, pts).gradient
+    fd = poisson3.central_difference(lambda q: casimir.solve_casimir(res, q).value, pts,
+                                     1e-6 * (1.0 + np.linalg.norm(pts, axis=-1)))
+    worst_grad = np.max(np.linalg.norm(grad - fd, axis=-1) / np.linalg.norm(fd, axis=-1))
+    details.append({"name": "gradient_vs_fd", "defect": float(worst_grad),
                     "tolerance": _tol(tol, 1e-6), "points": len(pts)})
     return _assemble("casimir", res, samples, seed, details)
 
@@ -223,13 +216,19 @@ def sample_leaf_points(res, count, seed):
     _require_samples(count)
     rng = np.random.default_rng(seed)
     base = float(res.n) ** res.m * float(res.m) ** res.n
+    # The field bound below, as a bound on x^2 + y^2 = |X - iY|^2, with room
+    # for the rounding of the fiber point and its leaf image.
+    rho2_limit = (4.0 / res.mn) ** 2 * (1.0 + 1e-9)
+    s_max_1 = dual_pair.minus_fiber_s_max(res, 1.0) if res.sign == MINUS else None
     pts = []
     attempts = 0
     while len(pts) < count and attempts < 300 * count:
         attempts += 1
         c = (rng.uniform(0.02, 1.2) * base) ** (1.0 / (res.n + res.m))
-        points = dual_pair.fiber_sample(res, c, 1, seed=int(rng.integers(1 << 31)))
-        p = rm.leaf_map(res, points[0])
+        fiber_seed = int(rng.integers(1 << 31))
+        if _fiber_rho2_floor(res, c, s_max_1) > rho2_limit:
+            continue
+        p = rm.leaf_map(res, dual_pair.fiber_sample(res, c, 1, seed=fiber_seed)[0])
         # |mn leaf_field| >= 2 mn |(x, y)|: reject on that before any solve.
         if 2.0 * res.mn * np.hypot(p[0], p[1]) > 8.0 * (1.0 + 1e-12):
             continue
@@ -248,29 +247,47 @@ def sample_leaf_points(res, count, seed):
     return np.array(pts)
 
 
+def _fiber_rho2_floor(res, c, s_max_1):
+    """Lower bound of x^2 + y^2 over the leaf images of fiber_sample(res, c, ...).
+
+    x^2 + y^2 = |a1|^(2m) |a2|^(2n).  Plus: the moduli are 2ct/n and
+    2c(1 - t)/m with t in [0.05, 0.95); the log of the product is concave in
+    t, so the smaller endpoint value bounds it.  Minus: the product
+    ((2c + m s)/n)^m s^n grows with s = |a2|^2, so the left end of the s
+    window bounds it.  On n < m cells that end follows s_max(c), which the
+    homogeneity of the domain inequality makes c * s_max(1); a 1e-12 margin
+    covers the rounding of both bisections.
+    """
+    n, m = res.n, res.m
+    if res.sign == PLUS:
+        return min((2.0 * c * t / n) ** m * (2.0 * c * (1.0 - t) / m) ** n
+                   for t in (0.05, 0.95))
+    s_lo = 0.1
+    s_max = c * s_max_1 * (1.0 - 1e-12)
+    if s_max <= s_lo:
+        s_lo = 0.02 * s_max
+    return ((2.0 * c + m * s_lo) / n) ** m * s_lo ** n
+
+
 def check_bracket_table(res, samples=1000, seed=42, tol=None):
     """Canonical brackets of (X, Y, Z) against the structure table."""
     _require_samples(samples)
     rng = np.random.default_rng(seed)
-    pts = sample_in_domain(res, samples, rng, lo=0.4, hi=1.4)
-    poisson = dynamics.poisson_tensor(res.sign)
+    a = sample_in_domain(res, samples, rng, lo=0.4, hi=1.4)
     tolerance = _tol(tol, 1e-7)
-    worst = {"yz": 0.0, "zx": 0.0, "xy": 0.0}
     mn = res.mn
-    for a in pts:
-        p = rm.leaf_map(res, a)
-        r = float(rm.circle_momentum(res, a))
-        x, y, z = (float(c) for c in p)
-        expected_xy = -mn * (x * x + y * y) * (res.m / (r + z) - res.n / (r - z))
-        scale = 1.0 + abs(2 * mn * x) + abs(2 * mn * y) + abs(expected_xy)
-        # {F, G} = grad F @ P @ grad G as in dynamics.canonical_bracket, from one
-        # leaf-map Jacobian per point instead of one per component gradient.
-        gx, gy, gz = rm.leaf_map_jacobian(res, a)
-        worst["yz"] = max(worst["yz"], abs(float(gy @ poisson @ gz) - 2 * mn * x) / scale)
-        worst["zx"] = max(worst["zx"], abs(float(gz @ poisson @ gx) - 2 * mn * y) / scale)
-        worst["xy"] = max(worst["xy"], abs(float(gx @ poisson @ gy) - expected_xy) / scale)
-    details = [{"name": f"bracket_{k}", "defect": v, "tolerance": tolerance}
-               for k, v in worst.items()]
+    x, y, z = rm.leaf_map(res, a).T
+    r = rm.circle_momentum(res, a)
+    expected_xy = -mn * (x * x + y * y) * (res.m / (r + z) - res.n / (r - z))
+    scale = 1.0 + np.abs(2 * mn * x) + np.abs(2 * mn * y) + np.abs(expected_xy)
+    # {F, G} = grad F @ P @ grad G as in dynamics.canonical_bracket, for all
+    # three pairs at once from the rows of one leaf-map Jacobian per point.
+    jac = rm.leaf_map_jacobian(res, a)
+    brackets = jac @ dynamics.poisson_tensor(res.sign) @ jac.swapaxes(-1, -2)
+    worst = {"yz": brackets[:, 1, 2] - 2 * mn * x, "zx": brackets[:, 2, 0] - 2 * mn * y,
+             "xy": brackets[:, 0, 1] - expected_xy}
+    details = [{"name": f"bracket_{k}", "defect": float(np.max(np.abs(v) / scale)),
+                "tolerance": tolerance} for k, v in worst.items()]
     return _assemble("bracket-table", res, samples, seed, details)
 
 
@@ -372,14 +389,12 @@ def check_conservation(res, samples=200, seed=42, tol=None):
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     t_grid = np.concatenate([[0.0, 0.7, np.pi, 5.0], rng.uniform(0.0, 8.0, size=8)])
-    worst = 0.0
-    for _ in range(samples):
-        a0 = rng.uniform(-1.5, 1.5, size=4)
-        base = np.append(rm.leaf_map(res, a0), rm.circle_momentum(res, a0))
-        scale = 1.0 + float(np.max(np.abs(base)))
-        report = dynamics.conservation_report(res, a0, t_grid)
-        worst = max(worst, report["max"] / scale)
-    details = [{"name": "circle_flow_invariants", "defect": worst,
+    a0 = rng.uniform(-1.5, 1.5, size=(samples, 4))
+    base = np.column_stack([rm.leaf_map(res, a0), rm.circle_momentum(res, a0)])
+    scale = 1.0 + np.max(np.abs(base), axis=-1)
+    report = dynamics.conservation_report(res, a0, t_grid)
+    details = [{"name": "circle_flow_invariants",
+                "defect": float(np.max(report["max"] / scale)),
                 "tolerance": _tol(tol, 1e-12)}]
     return _assemble("conservation", res, samples, seed, details)
 

@@ -168,6 +168,71 @@ class TestSolver:
             casimir.solve_casimir(Resonance(2, 1, "minus"), [1.0, 0.0, -2.0])
 
 
+ALL_CELLS = [Resonance(n, m, sign) for sign in ("plus", "minus")
+             for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
+
+
+def leaf_and_stencil_points(res, seed):
+    """Projected random phase points, and the FD stencil points around 20 of them.
+
+    The steps are those of the casimir gradient (1e-6), integrability (1e-5
+    and 5e-6) and jacobi (1e-4 absolute) stencils; stencil points off the
+    domain are dropped.
+    """
+    leaf = rm.leaf_map(res, sample_in_domain(res, 200, np.random.default_rng(seed)))
+    leaf = leaf[casimir.in_leaf_domain(res, leaf)]
+    scale = 1.0 + np.linalg.norm(leaf[:20], axis=-1)[:, None, None]
+    steps = [1e-6 * scale, 1e-5 * scale, 5e-6 * scale, 1e-4 * np.ones_like(scale)]
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    stencil = np.concatenate([(leaf[:20, None, :] + h * axes).reshape(-1, 3) for h in steps])
+    return leaf, stencil[casimir.in_leaf_domain(res, stencil)]
+
+
+class TestArrayDriver:
+    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_match_scalar_driver_bit_for_bit(self, res, seed):
+        for pts in leaf_and_stencil_points(res, seed):
+            batch = casimir.solve_casimir(res, pts)
+            values, iterations = casimir._solve_rows(res, pts[:, 0] ** 2 + pts[:, 1] ** 2,
+                                                     pts[:, 2])
+            single = [casimir.solve_casimir(res, p) for p in pts]
+            assert values.tolist() == [ev.value for ev in single]
+            assert iterations.tolist() == [ev.iterations for ev in single]
+            assert batch.value.tolist() == values.tolist()
+            assert batch.residual.tolist() == [ev.residual for ev in single]
+            assert batch.gradient.tolist() == [ev.gradient.tolist() for ev in single]
+            assert type(batch.iterations) is int
+            assert batch.iterations == sum(ev.iterations for ev in single)
+
+    @pytest.mark.parametrize("n,m,z", [(1, 4, 1e80), (3, 3, 1e110), (1, 1, -1.5e308)])
+    def test_pinched_early_return_in_both_drivers(self, n, m, z, monkeypatch):
+        # At lo == |z| the Kummer product is 0 and the residual -rho2 < 0, so
+        # the tightening loop runs out only where the product overflows at
+        # |z| (inf * 0 = nan).  Neither driver then reaches Newton-bisection.
+        res = Resonance(n, m)
+        newton_rows = []
+        real_rows = casimir._newton_bisect_rows
+
+        def rows(n, m, sm, rho2, z, lo, hi):
+            newton_rows.append(len(lo))
+            return real_rows(n, m, sm, rho2, z, lo, hi)
+
+        monkeypatch.setattr(casimir, "_newton_bisect", None)
+        monkeypatch.setattr(casimir, "_newton_bisect_rows", rows)
+        scalar = casimir._solve_plus(n, m, 1e-20, z)
+        with np.errstate(all="ignore"):
+            values, iterations = casimir._solve_rows(res, np.array([1e-20]), np.array([z]))
+        assert scalar == (abs(z), 1)
+        assert (values.tolist(), iterations.tolist()) == ([abs(z)], [1])
+        assert newton_rows == [0]
+
+    def test_batch_off_domain_rejected(self):
+        pts = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        with pytest.raises(OffDomain):
+            casimir.solve_casimir(Resonance(2, 1), pts)
+
+
 def domain_probe_points(res, rng):
     """10^4 leaf points, 6,000 of them within 4 ulps of a domain boundary.
 

@@ -232,6 +232,14 @@ class TestVerifyCommand:
             assert code == 0, (what, capsys.readouterr())
             capsys.readouterr()
 
+    def test_pushforward_overflow_exits_three(self, capsys):
+        # The 4:-2 orbit runs off the unbounded leaf until a Python complex
+        # power overflows in the pulled-back gradient.
+        code = main(["verify", "pushforward", "--n", "4", "--m", "2", "--sign", "minus",
+                     "--samples", "2", "--seed", "1"])
+        assert code == 3
+        assert re.search(r"^error: arithmetic overflow in step \d+", capsys.readouterr().err)
+
     def test_failing_check_exits_one(self, capsys):
         # An absurd tolerance forces a verification failure.
         code = main(["verify", "identity", "--n", "1", "--m", "1",

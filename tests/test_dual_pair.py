@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,55 @@ class TestFiberSample:
         outside = cpoint(np.sqrt(2 * c + 3 * 1.1 * s_max), np.sqrt(1.1 * s_max))
         assert rm.in_domain(res, inside)
         assert not rm.in_domain(res, outside)
+
+
+def _one_draw_at_a_time(res, c, count, seed):
+    """The minus branch of fiber_sample as a loop of single draws, for c > 0."""
+    rng = np.random.default_rng(seed)
+    s_lo, s_hi = 0.1, 4.0
+    if res.n < res.m:
+        s_max = dp.minus_fiber_s_max(res, c)
+        if s_max <= s_lo:
+            s_lo, s_hi = 0.02 * s_max, 0.98 * s_max
+        else:
+            s_hi = min(s_hi, 0.999 * s_max)
+    samples = []
+    while len(samples) < count:
+        s = rng.uniform(s_lo, s_hi)
+        r1 = (2.0 * c + res.m * s) / res.n
+        ph1, ph2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        a = ps.from_complex(np.sqrt(r1) * np.exp(1j * ph1), np.sqrt(s) * np.exp(1j * ph2))
+        if rm.in_domain(res, a):
+            samples.append(a)
+    return np.array(samples)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+def test_minus_blocks_match_one_draw_at_a_time(n, m):
+    res = Resonance(n, m, "minus")
+    for c in (0.5, 1.5, 3.0, 7.3):
+        for seed in (1, 42):
+            for count in (1, 2, 25):
+                got = dp.fiber_sample(res, c, count, seed=seed)
+                assert np.array_equal(got, _one_draw_at_a_time(res, c, count, seed)), (c, seed)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 2)])
+def test_minus_negative_level_rejects_draws_without_a1(n, m):
+    # For c < 0, |a1|^2 = (2c + m s)/n <= 0 on part of the s window.  Those
+    # draws are dropped before any square root, so no NaN point is built;
+    # the rest still lie on the fiber and in the domain.
+    res = Resonance(n, m, "minus")
+    c = -1.0
+    s = 0.1 + 3.9 * np.random.default_rng(3).random((40, 3))[:, 0]
+    assert np.any(2.0 * c + m * s <= 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = dp.fiber_sample(res, c, 40, seed=3)
+    assert pts.shape == (40, 4)
+    assert np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 > 0.0)
+    assert np.max(np.abs(rm.circle_momentum(res, pts) - c)) < 1e-12
+    assert np.all(rm.in_domain(res, pts))
 
 
 def _reference_s_max(res, c):

@@ -171,6 +171,24 @@ class TestFlowUpstairs:
             dyn.flow_upstairs("plus", dyn.field_R(Resonance(1, 1)),
                               [1.0, 0, 0, 0], -1e-3, 1.0)
 
+    def test_nan_state_rejected(self):
+        # A NaN norm is not above the blowup bound, yet the state is no state.
+        nan_after = ScalarField(lambda a: 0.0, lambda a: np.full(4, np.nan))
+        with pytest.raises(StepRejected, match="nan beyond 1e\\+06 at step 1"):
+            dyn.flow_upstairs("plus", nan_after, [1.0, 0.0, 0.0, 0.0], 1e-2, 0.1)
+
+    def test_overflow_in_a_step_rejected(self):
+        # Python complex powers raise OverflowError where numpy gives inf.
+        def grad(a):
+            if a[0] > 1.0 + 2.5e-2:
+                raise OverflowError("complex exponentiation")
+            return -ps.omega_matrix("plus") @ np.array([1.0, 0.0, 0.0, 0.0])
+
+        with pytest.raises(StepRejected, match="overflow in step 3: complex") as err:
+            dyn.flow_upstairs("plus", ScalarField(lambda a: 0.0, grad),
+                              [1.0, 0.0, 0.0, 0.0], 1e-2, 0.1)
+        assert isinstance(err.value.__cause__, OverflowError)
+
 
 class TestFlowDownstairs:
     def test_rotation_about_axis(self):
@@ -192,6 +210,14 @@ class TestFlowDownstairs:
         traj = dyn.flow_downstairs(res, ham, p0, 1e-3, 1.0)
         drift = np.max(np.abs(traj.conserved["C"] - traj.conserved["C"][0]))
         assert drift < 1e-6
+
+    @pytest.mark.parametrize("n,m,sign", [(3, 2, "plus"), (2, 1, "minus"), (1, 3, "minus")])
+    def test_casimir_log_matches_single_point_solves(self, n, m, sign):
+        res = Resonance(n, m, sign)
+        p0 = rm.leaf_map(res, dp.fiber_sample(res, 1.5, 1, seed=4)[0])
+        traj = dyn.flow_downstairs(res, dyn.DownstairsHamiltonian(gamma=1.0), p0, 1e-3, 0.3)
+        want = [casimir.solve_casimir(res, q).value for q in traj.states]
+        assert traj.conserved["C"].tolist() == want
 
     def test_domain_exit_raises(self):
         # A strong x-translation pushes any thin minus-band trajectory out.
@@ -354,6 +380,18 @@ class TestConservationReport:
     def test_origin(self):
         report = dyn.conservation_report(Resonance(3, 4), np.zeros(4), [0.0, 1.0])
         assert report["max"] == 0.0
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_batch_rows_match_single_points(self, sign):
+        res = Resonance(3, 2, sign)
+        a0 = np.random.default_rng(3).uniform(-1.5, 1.5, size=(20, 4))
+        t_grid = [0.0, 0.7, np.pi, 5.0]
+        batch = dyn.conservation_report(res, a0, t_grid)
+        assert batch["max"].shape == (20,)
+        for key in ("dX", "dY", "dZ", "dR", "max"):
+            single = [dyn.conservation_report(res, a, t_grid)[key] for a in a0]
+            # Batched complex products may round differently in the last place.
+            assert np.max(np.abs(batch[key] - single)) <= 1e-14
 
 
 class TestTrajectoryType:

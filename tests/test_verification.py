@@ -68,7 +68,7 @@ def test_casimir_composition_checks_fiber_points_on_minus_cells(m, monkeypatch):
 
     def counting(res, p):
         ev = solve(res, p)
-        values.append(ev.value)
+        values.extend(np.atleast_1d(ev.value).tolist())
         return ev
 
     monkeypatch.setattr(casimir, "solve_casimir", counting)
@@ -143,6 +143,38 @@ class TestSampleLeafPoints:
                 for p in vf._leaf_points(res, 20, np.random.default_rng(n + m)):
                     field = res.mn * casimir.leaf_field(res, p)
                     assert np.linalg.norm(field) >= 2.0 * res.mn * np.hypot(p[0], p[1])
+
+
+ALL_CELLS = [Resonance(n, m, sign) for sign in ("plus", "minus")
+             for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
+
+
+class TestFiberFloor:
+    # The floor skips a candidate's fiber draw only where every point the
+    # draw could return fails the field bound, so no accepted point changes.
+    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
+    def test_floor_keeps_the_accepted_points(self, res):
+        for seed, count in ((1, 12), (42, 6)):
+            want = _reference_sample_leaf_points(res, count, seed)
+            assert np.array_equal(vf.sample_leaf_points(res, count, seed), want)
+
+    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
+    def test_floor_bounds_every_fiber_point(self, res):
+        s_max_1 = dp.minus_fiber_s_max(res, 1.0) if res.sign == "minus" else None
+        base = float(res.n) ** res.m * float(res.m) ** res.n
+        for c in (np.array([0.02, 0.3, 1.2]) * base) ** (1.0 / (res.n + res.m)):
+            p = rm.leaf_map(res, dp.fiber_sample(res, c, 300, seed=9))
+            rho2 = p[:, 0] ** 2 + p[:, 1] ** 2
+            floor = vf._fiber_rho2_floor(res, c, s_max_1)
+            assert np.min(rho2) >= floor * (1.0 - 1e-12), c
+            assert np.min(rho2) <= 1.5 * floor, c
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(n + 1, 5)])
+    def test_s_max_is_homogeneous_in_the_level(self, n, m):
+        res = Resonance(n, m, "minus")
+        s_max_1 = dp.minus_fiber_s_max(res, 1.0)
+        for c in np.logspace(-2.0, 2.0, 30):
+            assert abs(dp.minus_fiber_s_max(res, c) - c * s_max_1) <= 1e-14 * c * s_max_1
 
 
 def _reference_sample_leaf_points(res, count, seed):
