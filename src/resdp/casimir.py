@@ -168,7 +168,7 @@ def _solve_minus(n, m, rho2, z):
 def _newton_bisect_rows(n, m, sm, rho2, z, lo, hi):
     """_newton_bisect on arrays of brackets, each row taking the scalar steps.
 
-    Every row sees the float operations of the scalar driver in the same
+    Every row sees the float operations of the scalar solver in the same
     order, so roots and iteration counts are bit-identical to it.  Rows
     that stop leave the active set; the rest go on.  The root is increasing
     in the residual's sign exactly when sm > 0.
@@ -226,7 +226,7 @@ def _solve_plus_rows(n, m, rho2, z):
 
 
 def _solve_rows(res, rho2, z):
-    """Roots and iteration counts at the rows (rho2, z), as the scalar driver finds them."""
+    """Roots and iteration counts at the rows (rho2, z), as the scalar solver finds them."""
     if res.sign == PLUS:
         return _solve_plus_rows(res.n, res.m, rho2, z)
     return _newton_bisect_rows(res.n, res.m, -res.m, rho2, z, np.zeros_like(z), np.abs(z))
@@ -235,8 +235,8 @@ def _solve_rows(res, rho2, z):
 def solve_casimir(res, p):
     """Casimir value, gradient, and diagnostics at a leaf point or a batch of them.
 
-    A single point (shape (3,)) runs the scalar driver in Python floats.  A
-    batch (shape (k, 3)) runs the array driver, which gives each row the
+    A single point (shape (3,)) runs the scalar solver in Python floats.  A
+    batch (shape (k, 3)) runs the array solver, which gives each row the
     same float operations, so the same bits, at a fraction of the cost per
     point; its value and residual have shape (k,), its gradient (k, 3), and
     its iterations are summed over the rows.  Raises OffDomain when a point

@@ -191,7 +191,7 @@ def leaf_and_stencil_points(res, seed):
 class TestArrayDriver:
     @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_rows_match_scalar_driver_bit_for_bit(self, res, seed):
+    def test_rows_match_scalar_solver_bit_for_bit(self, res, seed):
         for pts in leaf_and_stencil_points(res, seed):
             batch = casimir.solve_casimir(res, pts)
             values, iterations = casimir._solve_rows(res, pts[:, 0] ** 2 + pts[:, 1] ** 2,
@@ -206,10 +206,10 @@ class TestArrayDriver:
             assert batch.iterations == sum(ev.iterations for ev in single)
 
     @pytest.mark.parametrize("n,m,z", [(1, 4, 1e80), (3, 3, 1e110), (1, 1, -1.5e308)])
-    def test_pinched_early_return_in_both_drivers(self, n, m, z, monkeypatch):
+    def test_pinched_early_return_in_both_solvers(self, n, m, z, monkeypatch):
         # At lo == |z| the Kummer product is 0 and the residual -rho2 < 0, so
         # the tightening loop runs out only where the product overflows at
-        # |z| (inf * 0 = nan).  Neither driver then reaches Newton-bisection.
+        # |z| (inf * 0 = nan).  Neither solver then reaches Newton-bisection.
         res = Resonance(n, m)
         newton_rows = []
         real_rows = casimir._newton_bisect_rows
