@@ -149,7 +149,8 @@ def _solve_plus(n, m, rho2, z):
                 break
             hi = lo
         else:
-            return hi, 1
+            raise NoConvergence(f"root pinched against |z| = {az:.6g}, where the Kummer "
+                                "product overflows")
     else:
         hi = max(az + 1.0, 2.0 * lo)
         doublings = 0
@@ -208,6 +209,8 @@ def _solve_plus_rows(n, m, rho2, z):
         lo[tight] = az[tight] + (lo[tight] - az[tight]) / 16.0
         tight = tight[~(_eval(n, m, m, rho2[tight], z[tight], lo[tight])[0] < 0.0)]
         hi[tight] = lo[tight]
+    if tight.size:
+        raise NoConvergence(f"row {tight[0]}: root pinched against |z| = {az[tight[0]]:.6g}")
     grow = np.flatnonzero(~pinched)
     for doublings in range(1, 302):
         grow = grow[_eval(n, m, m, rho2[grow], z[grow], hi[grow])[0] <= 0.0]
@@ -216,13 +219,7 @@ def _solve_plus_rows(n, m, rho2, z):
         if doublings > 300:
             raise NoConvergence("upper bracket search failed")
         hi[grow] *= 2.0
-    # Rows still tight after 64 steps take the pinched early return (hi, 1).
-    value, iterations = hi.copy(), np.ones(len(hi), dtype=np.int64)
-    rest = np.ones(len(hi), dtype=bool)
-    rest[tight] = False
-    value[rest], iterations[rest] = _newton_bisect_rows(n, m, m, rho2[rest], z[rest],
-                                                        lo[rest], hi[rest])
-    return value, iterations
+    return _newton_bisect_rows(n, m, m, rho2, z, lo, hi)
 
 
 def _solve_rows(res, rho2, z):

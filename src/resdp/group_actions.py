@@ -11,6 +11,9 @@ The R^3 <-> Lie algebra identifications are
 
     su(2):   v -> [[i v3, i v1 + v2], [i v1 - v2, -i v3]]
     su(1,1): v -> [[i v3, i v1 + v2], [-i v1 + v2, -i v3]]
+
+Every function broadcasts over leading axes of (..., 2, 2) matrices, (..., 4)
+points and (..., 3) algebra vectors; checks name the first bad row of a batch.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ _PATTERN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A 2x2 complex matrix with the signature of its group: plus SU(2), minus SU(1,1)."""
+    """(..., 2, 2) complex matrices and the signature of their group: plus SU(2), minus SU(1,1)."""
 
     matrix: np.ndarray
     sign: str
@@ -40,10 +43,20 @@ class GroupElement:
         return GroupElement(self.matrix @ other.matrix, self.sign)
 
 
+def _mat2(a, b, c, d):
+    """The (..., 2, 2) matrices [[a, b], [c, d]] from broadcastable entries."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([a, b, c, d], axis=-1).reshape(a.shape + (2, 2))
+
+
+def _det2(mat):
+    return mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+
+
 def _inv2(mat):
-    """Closed-form adjugate inverse of a 2x2 matrix."""
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
+    """Closed-form adjugate inverse of 2x2 matrices."""
+    adj = _mat2(mat[..., 1, 1], -mat[..., 0, 1], -mat[..., 1, 0], mat[..., 0, 0])
+    return adj / _det2(mat)[..., None, None]
 
 
 def identity(sign):
@@ -52,81 +65,80 @@ def identity(sign):
 
 
 def group_defect(g):
-    """Max violation of the defining constraints (det, shape, form)."""
+    """Max violation of the defining constraints (det, shape, form), per element."""
     mat = np.asarray(g.matrix, dtype=complex)
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    det_defect = abs(det - 1.0)
-    if g.sign == ps.PLUS:
-        shape = max(abs(mat[1, 0] + np.conj(mat[0, 1])), abs(mat[1, 1] - np.conj(mat[0, 0])))
-        gram = np.eye(2)
-    else:
-        shape = max(abs(mat[1, 0] - np.conj(mat[0, 1])), abs(mat[1, 1] - np.conj(mat[0, 0])))
-        gram = np.diag([1.0, -1.0])
-    form = np.max(np.abs(mat.conj().T @ gram @ mat - gram))
-    return float(max(det_defect, shape, form))
+    s = 1.0 if g.sign == ps.PLUS else -1.0
+    shape = np.maximum(np.abs(mat[..., 1, 0] + s * np.conj(mat[..., 0, 1])),
+                       np.abs(mat[..., 1, 1] - np.conj(mat[..., 0, 0])))
+    gram = np.diag([1.0, s])
+    form = np.abs(np.swapaxes(mat.conj(), -1, -2) @ gram @ mat - gram).max(axis=(-2, -1))
+    return np.maximum(np.maximum(np.abs(_det2(mat) - 1.0), shape), form)
 
 
 def su2_element(alpha, beta):
-    norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    norm = np.sqrt(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
     alpha, beta = alpha / norm, beta / norm
-    return GroupElement(np.array([[alpha, beta], [-np.conj(beta), np.conj(alpha)]]), ps.PLUS)
+    return GroupElement(_mat2(alpha, beta, -np.conj(beta), np.conj(alpha)), ps.PLUS)
 
 
 def su11_element(alpha, beta):
-    scale = abs(alpha) ** 2 - abs(beta) ** 2
-    if scale <= 0:
-        raise ValueError("need |alpha|^2 - |beta|^2 > 0")
+    scale = np.abs(alpha) ** 2 - np.abs(beta) ** 2
+    ps.raise_on_first(~(scale > 0), ValueError, "need |alpha|^2 - |beta|^2 > 0{row}")
     alpha, beta = alpha / np.sqrt(scale), beta / np.sqrt(scale)
-    return GroupElement(np.array([[alpha, beta], [np.conj(beta), np.conj(alpha)]]), ps.MINUS)
+    return GroupElement(_mat2(alpha, beta, np.conj(beta), np.conj(alpha)), ps.MINUS)
 
 
-def random_element(sign, rng):
-    """Draw a Haar-ish random SU(2) element (plus) or a moderate SU(1,1) boost (minus)."""
+def draw_element(sign, rng):
+    """The generator draws of one random element: a normal 4-vector (plus) or (t, phi, psi)."""
     ps.check_sign(sign)
     if sign == ps.PLUS:
-        vec = rng.normal(size=4)
-        vec /= np.linalg.norm(vec)
-        return su2_element(vec[0] + 1j * vec[1], vec[2] + 1j * vec[3])
-    t = rng.uniform(0.0, 1.2)
-    phi, psi = rng.uniform(0.0, 2 * np.pi, size=2)
+        return rng.normal(size=4)
+    return np.concatenate([[rng.uniform(0.0, 1.2)], rng.uniform(0.0, 2 * np.pi, size=2)])
+
+
+def element_from_draws(sign, draws):
+    """Haar-ish SU(2) elements (plus) or moderate SU(1,1) boosts (minus) from (..., 4|3) draws."""
+    if sign == ps.PLUS:
+        return su2_element(*ps.to_complex(draws))
+    t, phi, psi = np.moveaxis(np.asarray(draws, dtype=float), -1, 0)
     return su11_element(np.cosh(t) * np.exp(1j * phi), np.sinh(t) * np.exp(1j * psi))
 
 
+def random_element(sign, rng):
+    """One random element of the sign's group."""
+    return element_from_draws(sign, draw_element(sign, rng))
+
+
 def lie_algebra_matrix(sign, v):
-    """Realize an R^3 vector as a trace-free skew matrix of the given form."""
+    """Realize R^3 vectors as trace-free skew matrices of the given form."""
     ps.check_sign(sign)
-    v1, v2, v3 = (float(c) for c in v)
-    if sign == ps.PLUS:
-        return np.array([[1j * v3, 1j * v1 + v2], [1j * v1 - v2, -1j * v3]])
-    return np.array([[1j * v3, 1j * v1 + v2], [-1j * v1 + v2, -1j * v3]])
+    v1, v2, v3 = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    s = 1.0 if sign == ps.PLUS else -1.0
+    return _mat2(1j * v3, 1j * v1 + v2, s * 1j * v1 - s * v2, -1j * v3)
 
 
 def lie_algebra_components(sign, xi):
-    """Invert lie_algebra_matrix; raises NotInImage on pattern mismatch."""
+    """Invert lie_algebra_matrix; raises NotInImage on the first pattern mismatch."""
     ps.check_sign(sign)
     xi = np.asarray(xi, dtype=complex)
-    v1 = xi[0, 1].imag
-    v2 = xi[0, 1].real
-    v3 = xi[0, 0].imag
-    rebuilt = lie_algebra_matrix(sign, (v1, v2, v3))
-    defect = np.max(np.abs(xi - rebuilt))
-    scale = 1.0 + np.max(np.abs(xi))
-    if defect > _PATTERN_TOL * scale:
-        raise NotInImage(f"matrix does not match the {sign} algebra pattern "
-                         f"(defect {defect:.3e})")
-    return np.array([v1, v2, v3])
+    v = np.stack([xi[..., 0, 1].imag, xi[..., 0, 1].real, xi[..., 0, 0].imag], axis=-1)
+    defect = np.abs(xi - lie_algebra_matrix(sign, v)).max(axis=(-2, -1))
+    scale = 1.0 + np.abs(xi).max(axis=(-2, -1))
+    ps.raise_on_first(defect > _PATTERN_TOL * scale, NotInImage, "matrix{row} does not match "
+                      "the %s algebra pattern (defect {:.3e})" % sign, defect)
+    return v
 
 
 def act(g, a):
-    """Apply a group element to a phase point (matrix multiplication)."""
+    """Apply group elements to phase points (matrix multiplication)."""
     a1, a2 = ps.to_complex(a)
     mat = g.matrix
-    return ps.from_complex(mat[0, 0] * a1 + mat[0, 1] * a2,
-                           mat[1, 0] * a1 + mat[1, 1] * a2)
+    return ps.from_complex(mat[..., 0, 0] * a1 + mat[..., 0, 1] * a2,
+                           mat[..., 1, 0] * a1 + mat[..., 1, 1] * a2)
 
 
 def point_matrix(a, sign):
-    """The matrix with first column a whose columns span the fiber frame.
+    """The matrices with first column a whose columns span the fiber frame.
 
     For plus (SU(2)) it is [[a1, -conj(a2)], [a2, conj(a1)]] with determinant
     |a1|^2 + |a2|^2; for minus (SU(1,1)) it is [[a1, conj(a2)], [a2, conj(a1)]]
@@ -134,48 +146,46 @@ def point_matrix(a, sign):
     """
     ps.check_sign(sign)
     a1, a2 = ps.to_complex(a)
-    a1, a2 = complex(a1), complex(a2)
-    if sign == ps.PLUS:
-        return np.array([[a1, -np.conj(a2)], [a2, np.conj(a1)]])
-    return np.array([[a1, np.conj(a2)], [a2, np.conj(a1)]])
+    s = 1.0 if sign == ps.PLUS else -1.0
+    return _mat2(a1, -s * np.conj(a2), a2, np.conj(a1))
 
 
 def transitive_element(a, b, sign):
-    """Group element mapping a to b along their common fiber.
+    """Group elements mapping a to b along their common fiber.
 
     SU(2) (plus) requires equal positive Hermitian norms; SU(1,1) (minus)
     requires equal nonzero values of |a1|^2 - |a2|^2 (the embedding is
     singular on the null fiber, which is refused).
     """
     ps.check_sign(sign)
-    fa = float(np.real(ps.hermitian(sign, a, a)))
-    fb = float(np.real(ps.hermitian(sign, b, b)))
-    scale = 1.0 + abs(fa) + abs(fb)
-    if abs(fa - fb) > _GROUP_TOL * scale:
-        raise FiberMismatch(f"fiber levels differ: {fa} vs {fb}")
+    fa = ps.hermitian(sign, a, a).real
+    fb = ps.hermitian(sign, b, b).real
+    scale = 1.0 + np.abs(fa) + np.abs(fb)
+    ps.raise_on_first(np.abs(fa - fb) > _GROUP_TOL * scale, FiberMismatch,
+                      "fiber levels differ{row}: {} vs {}", fa, fb)
     if sign == ps.PLUS:
-        if fa <= _GROUP_TOL:
-            raise FiberMismatch("SU(2) transitivity needs a positive fiber level")
+        ps.raise_on_first(fa <= _GROUP_TOL, FiberMismatch,
+                          "SU(2) transitivity needs a positive fiber level{row}")
     else:
-        if abs(fa) <= _GROUP_TOL * scale:
-            raise SingularEmbed("null fiber |a1| = |a2|: embedding matrix is singular")
+        ps.raise_on_first(np.abs(fa) <= _GROUP_TOL * scale, SingularEmbed,
+                          "null fiber |a1| = |a2|{row}: embedding matrix is singular")
     g = point_matrix(b, sign) @ _inv2(point_matrix(a, sign))
     return GroupElement(g, sign)
 
 
 def adjoint(sign, g, v):
-    """Conjugate the algebra vector v by g: the w with xi_w = g xi_v g^-1."""
+    """Conjugate the algebra vectors v by g: the w with xi_w = g xi_v g^-1."""
     xi = lie_algebra_matrix(sign, v)
     conjugated = g.matrix @ xi @ _inv2(g.matrix)
     return lie_algebra_components(sign, conjugated)
 
 
 def equivariance_defect(sign, g, a, v):
-    """|pairing(g.a, xi_v) - pairing(a, xi_{Ad_{g^-1} v})|.
+    """|pairing(g.a, xi_v) - pairing(a, xi_{Ad_{g^-1} v})|, per row.
 
     Vanishes (to rounding) for any valid group element of the matching form.
     """
     left = ps.momentum_pairing(sign, act(g, a), lie_algebra_matrix(sign, v))
     w = adjoint(sign, g.inverse(), v)
     right = ps.momentum_pairing(sign, a, lie_algebra_matrix(sign, w))
-    return abs(left - right)
+    return np.abs(left - right)

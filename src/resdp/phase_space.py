@@ -109,30 +109,44 @@ def symplectic_normal(sign, k):
     return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
 
+def raise_on_first(bad, error, message, *values):
+    """Raise error for the first True entry of the mask bad, naming it.
+
+    message is a str.format template: {row} becomes " at row i" in a batch
+    ("" for a single element), and {} the values read at that entry.
+    """
+    bad = np.asarray(bad)
+    if bad.any():
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        row = f" at row {idx[0] if len(idx) == 1 else idx}" if idx else ""
+        raise error(message.format(*(np.asarray(v)[idx] for v in values), row=row))
+
+
 def skew_defect(sign, xi):
-    """Max-norm violation of <xi a, b> + <a, xi b> = 0 for the selected form."""
+    """Max-norm violation of <xi a, b> + <a, xi b> = 0 for the selected form, per matrix."""
     check_sign(sign)
     xi = np.asarray(xi, dtype=complex)
     g = np.diag([1.0, 1.0]) if sign == PLUS else np.diag([1.0, -1.0])
-    return float(np.max(np.abs(xi.conj().T @ g + g @ xi)))
+    return np.abs(np.swapaxes(xi.conj(), -1, -2) @ g + g @ xi).max(axis=(-2, -1))
 
 
 def momentum_pairing(sign, a, xi):
-    """Real pairing of the point a with a skew matrix xi: (i/2)<a, xi(a)>.
+    """Real pairing of points a with skew matrices xi: (i/2)<a, xi(a)>, per row.
 
-    Raises NotSkewHermitian when xi fails the skew condition of the selected
-    form.
+    Raises NotSkewHermitian when a matrix fails the skew condition of the
+    selected form.
     """
-    if skew_defect(sign, xi) > _SKEW_TOL:
-        raise NotSkewHermitian(
-            f"matrix is not skew for the {sign} form (defect {skew_defect(sign, xi):.3e})"
-        )
+    defect = skew_defect(sign, xi)
+    raise_on_first(defect > _SKEW_TOL, NotSkewHermitian,
+                   "matrix{row} is not skew for the %s form (defect {:.3e})" % sign, defect)
     a1, a2 = to_complex(a)
     xi = np.asarray(xi, dtype=complex)
-    b1 = xi[0, 0] * a1 + xi[0, 1] * a2
-    b2 = xi[1, 0] * a1 + xi[1, 1] * a2
+    # [()] keeps a single matrix in numpy's scalar arithmetic, which rounds as before batching.
+    x00, x01, x10, x11 = (xi[..., i, j][()] for i in (0, 1) for j in (0, 1))
+    b1 = x00 * a1 + x01 * a2
+    b2 = x10 * a1 + x11 * a2
     if sign == PLUS:
         inner = a1 * np.conj(b1) + a2 * np.conj(b2)
     else:
         inner = a1 * np.conj(b1) - a2 * np.conj(b2)
-    return float((0.5j * inner).real)
+    return (0.5j * inner).real

@@ -344,44 +344,43 @@ def check_jacobi(res, samples=20, seed=42, tol=None):
     return _assemble("jacobi", res, len(pts), seed, details)
 
 
+def _equivariance_draws(sign, samples, rng):
+    """Per-sample (element draws, point, algebra vector), in the generator's order."""
+    rows = [(ga.draw_element(sign, rng), rng.uniform(-1.5, 1.5, size=4), rng.normal(size=3))
+            for _ in range(samples)]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def check_equivariance(res, samples=1000, seed=42, tol=None):
     _require_samples(samples)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        g = ga.random_element(res.sign, rng)
-        a = rng.uniform(-1.5, 1.5, size=4)
-        v = rng.normal(size=3)
-        worst = max(worst, ga.equivariance_defect(res.sign, g, a, v))
+    draws, a, v = _equivariance_draws(res.sign, samples, np.random.default_rng(seed))
+    g = ga.element_from_draws(res.sign, draws)
+    worst = float(np.max(ga.equivariance_defect(res.sign, g, a, v)))
     details = [{"name": "momentum_equivariance", "defect": worst,
                 "tolerance": _tol(tol, 1e-12)}]
     return _assemble("equivariance", res, samples, seed, details)
 
 
+def _transitivity_draws(sign, samples, rng):
+    """Per-sample (point, element draws), skipping points near the null or zero fiber."""
+    points, draws = [], []
+    while len(points) < samples:
+        a = rng.uniform(-1.5, 1.5, size=4)
+        if (abs(ps.hermitian(MINUS, a, a).real) if sign == MINUS else np.linalg.norm(a)) < 0.1:
+            continue
+        points.append(a)
+        draws.append(ga.draw_element(sign, rng))
+    return np.array(points), np.array(draws)
+
+
 def check_transitivity(res, samples=1000, seed=42, tol=None):
     _require_samples(samples)
-    rng = np.random.default_rng(seed)
-    tolerance = _tol(tol, 1e-12)
-    worst_map, worst_group = 0.0, 0.0
-    count = 0
-    while count < samples:
-        a = rng.uniform(-1.5, 1.5, size=4)
-        if res.sign == MINUS:
-            level = ps.hermitian(MINUS, a, a).real
-            if abs(level) < 0.1:
-                continue
-        elif np.linalg.norm(a) < 0.1:
-            continue
-        g0 = ga.random_element(res.sign, rng)
-        b = ga.act(g0, a)
-        g = ga.transitive_element(a, b, res.sign)
-        worst_map = max(worst_map, float(np.max(np.abs(ga.act(g, a) - b))))
-        worst_group = max(worst_group, ga.group_defect(g))
-        count += 1
-    details = [
-        {"name": "roundtrip", "defect": worst_map, "tolerance": tolerance},
-        {"name": "group_constraints", "defect": worst_group, "tolerance": tolerance},
-    ]
+    a, draws = _transitivity_draws(res.sign, samples, np.random.default_rng(seed))
+    b = ga.act(ga.element_from_draws(res.sign, draws), a)
+    g = ga.transitive_element(a, b, res.sign)
+    defects = {"roundtrip": np.abs(ga.act(g, a) - b), "group_constraints": ga.group_defect(g)}
+    details = [{"name": name, "defect": float(np.max(d)), "tolerance": _tol(tol, 1e-12)}
+               for name, d in defects.items()]
     return _assemble("transitivity", res, samples, seed, details)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from resdp import casimir
 from resdp import resonance_maps as rm
-from resdp.errors import OffDomain
+from resdp.errors import NoConvergence, OffDomain
 from resdp.resonance_maps import Resonance
 from resdp.verification import sample_in_domain
 
@@ -206,26 +206,15 @@ class TestArrayDriver:
             assert batch.iterations == sum(ev.iterations for ev in single)
 
     @pytest.mark.parametrize("n,m,z", [(1, 4, 1e80), (3, 3, 1e110), (1, 1, -1.5e308)])
-    def test_pinched_early_return_in_both_solvers(self, n, m, z, monkeypatch):
+    def test_pinched_root_raises_in_both_solvers(self, n, m, z):
         # At lo == |z| the Kummer product is 0 and the residual -rho2 < 0, so
         # the tightening loop runs out only where the product overflows at
-        # |z| (inf * 0 = nan).  Neither solver then reaches Newton-bisection.
-        res = Resonance(n, m)
-        newton_rows = []
-        real_rows = casimir._newton_bisect_rows
-
-        def rows(n, m, sm, rho2, z, lo, hi):
-            newton_rows.append(len(lo))
-            return real_rows(n, m, sm, rho2, z, lo, hi)
-
-        monkeypatch.setattr(casimir, "_newton_bisect", None)
-        monkeypatch.setattr(casimir, "_newton_bisect_rows", rows)
-        scalar = casimir._solve_plus(n, m, 1e-20, z)
-        with np.errstate(all="ignore"):
-            values, iterations = casimir._solve_rows(res, np.array([1e-20]), np.array([z]))
-        assert scalar == (abs(z), 1)
-        assert (values.tolist(), iterations.tolist()) == ([abs(z)], [1])
-        assert newton_rows == [0]
+        # |z| (inf * 0 = nan).  There is no root to report, so both solvers
+        # raise; the array solver names the row, after a good row 0.
+        with pytest.raises(NoConvergence, match="pinched"):
+            casimir._solve_plus(n, m, 1e-20, z)
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="^row 1: .*pinched"):
+            casimir._solve_rows(Resonance(n, m), np.array([1.0, 1e-20]), np.array([0.5, z]))
 
     def test_batch_off_domain_rejected(self):
         pts = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])

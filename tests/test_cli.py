@@ -44,6 +44,12 @@ class TestCasimirCommand:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_pinched_root_exit_code(self, capsys):
+        # The Kummer product overflows at |z| = 1e80, so no root can be bracketed.
+        code = main(["casimir", "--n", "1", "--m", "4", "--point", "1e-10,0,1e80"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "cas.json"
         code = main(["casimir", "--n", "1", "--m", "1", "--point", "3,0,4",

@@ -5,15 +5,21 @@ removed.  A change that moves a report on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_verify_all_gate.py
 
-and lists the moved details in CHANGES.md.  The bits depend on the numpy
-SIMD loops of the machine that wrote the file (x86-64 with AVX-512, numpy
-2.4.6): batched complex products, powers and reductions round differently
-where numpy dispatches to other vector kernels, so on other hardware this
-test can fail while every report still passes.
+and lists the moved details in CHANGES.md.  Run it with --moves first: it
+then prints every detail whose defect differs between the file and a fresh
+run, and the largest move of each detail as a fraction of its tolerance.
+The bits depend on the numpy SIMD loops of the machine that wrote the file
+(x86-64 with AVX-512, numpy 2.4.6): batched complex products, powers and
+reductions round differently where numpy dispatches to other vector
+kernels, so on other hardware this test can fail while every report still
+passes.
 """
 
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 from resdp.cli import main
 
@@ -29,6 +35,65 @@ def verify_all_json(path):
     return stripped
 
 
+def detail_moves(old, new):
+    """(check, cell, detail, old defect, new defect, move / tolerance) of every moved detail.
+
+    old and new are parsed `verify all --json` documents over the same reports
+    and details in the same order; a ValueError says where they part.
+    """
+    moves = []
+    for r_old, r_new in zip(old["details"], new["details"], strict=True):
+        cell = f"{r_old['n']}:{'-' if r_old['sign'] == 'minus' else ''}{r_old['m']}"
+        for d_old, d_new in zip(r_old["details"], r_new["details"], strict=True):
+            keys = [(r["check"], r["n"], r["m"], r["sign"], d["name"])
+                    for r, d in ((r_old, d_old), (r_new, d_new))]
+            if keys[0] != keys[1]:
+                raise ValueError(f"documents part at {keys[0]} vs {keys[1]}")
+            if d_old["defect"] != d_new["defect"]:
+                moves.append((r_old["check"], cell, d_old["name"], d_old["defect"],
+                               d_new["defect"],
+                               (d_new["defect"] - d_old["defect"]) / d_old["tolerance"]))
+    return moves
+
+
+def format_moves(moves):
+    """One line per move, then the largest |move| of each (check, detail)."""
+    lines = [f"{check} {cell} {name}: {old:.6e} -> {new:.6e} ({frac:+.3e} of tol)"
+             for check, cell, name, old, new, frac in moves]
+    largest = {}
+    for check, cell, name, old, new, frac in moves:
+        if abs(frac) > abs(largest.get((check, name), (0.0,))[0]):
+            largest[check, name] = (frac, cell, old, new)
+    lines += [f"largest {check} {name}: {frac:+.3e} of tol at {cell} ({old:.6e} -> {new:.6e})"
+              for (check, name), (frac, cell, old, new) in sorted(largest.items())]
+    return "\n".join(lines)
+
+
+def test_detail_moves_on_hand_written_documents():
+    def doc(*defects):
+        details = [{"name": name, "defect": d, "tolerance": 1e-12, "pass": True}
+                   for name, d in zip(("roundtrip", "group_constraints"), defects)]
+        return {"details": [{"check": "transitivity", "n": 2, "m": 1, "sign": "minus",
+                             "details": details}]}
+
+    assert detail_moves(doc(1e-15, 2e-15), doc(1e-15, 2e-15)) == []
+    moves = detail_moves(doc(1e-15, 2e-15), doc(1e-15, 5e-15))
+    assert len(moves) == 1
+    check, cell, name, old, new, frac = moves[0]
+    assert (check, cell, name, old, new) == ("transitivity", "2:-1", "group_constraints",
+                                             2e-15, 5e-15)
+    assert abs(frac - 3e-3) < 1e-15
+    assert format_moves(moves).splitlines() == [
+        "transitivity 2:-1 group_constraints: 2.000000e-15 -> 5.000000e-15 (+3.000e-03 of tol)",
+        "largest transitivity group_constraints: +3.000e-03 of tol at 2:-1 "
+        "(2.000000e-15 -> 5.000000e-15)",
+    ]
+    renamed = doc(1e-15, 2e-15)
+    renamed["details"][0]["details"][0]["name"] = "other"
+    with pytest.raises(ValueError, match="roundtrip"):
+        detail_moves(doc(1e-15, 2e-15), renamed)
+
+
 def test_verify_all_seed_42_is_byte_identical(tmp_path, capsys):
     got = verify_all_json(tmp_path / "all.json")
     capsys.readouterr()
@@ -36,7 +101,14 @@ def test_verify_all_seed_42_is_byte_identical(tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
+    import sys
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(verify_all_json(Path(tmp) / "all.json"), newline="\n")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        fresh = verify_all_json(Path(tmp) / "all.json")
+    if sys.argv[1:] == ["--moves"]:
+        print(format_moves(detail_moves(json.loads(GOLDEN.read_text()), json.loads(fresh))))
+    else:
+        GOLDEN.write_text(fresh, newline="\n")
