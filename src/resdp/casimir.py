@@ -54,13 +54,14 @@ def in_leaf_domain(res, p, axis_margin=0.0, bound_margin=1.0):
     Off the z axis: x^2 + y^2 > tau^2 with tau = axis_margin (1 + |x| + |y|
     + |z|).  The unbounded family also needs n^m m^n (x^2 + y^2) <
     bound_margin z^(n+m).  Points of shape (k, 3) and up are checked
-    elementwise; a single point is checked in Python floats, which keeps the
-    per-stage check of the downstairs right-hand side free of numpy scalars.
+    elementwise; a single point is unpacked as it comes, a 1-D array through
+    tolist(), which keeps the per-stage check of the downstairs right-hand
+    side free of numpy scalars.
     """
-    if isinstance(p, np.ndarray) and p.ndim > 1:
-        x, y, z = np.moveaxis(p, -1, 0)
+    if isinstance(p, np.ndarray):
+        x, y, z = np.moveaxis(p, -1, 0) if p.ndim > 1 else p.tolist()
     else:
-        x, y, z = (float(v) for v in p)
+        x, y, z = p
     rho2 = x * x + y * y
     tau = axis_margin * (1.0 + abs(x) + abs(y) + abs(z))
     ok = rho2 > tau * tau

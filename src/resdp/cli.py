@@ -118,6 +118,10 @@ def _write_trajectory_csv(path, traj, state_names):
 
 def _cmd_flow(args):
     res = _resonance(args)
+    try:
+        dynamics._step_count(args.dt, args.T)
+    except ValueError as exc:
+        raise BadParams(f"{exc}, got --dt {args.dt} and --T {args.T}") from None
     if args.level == "upstairs":
         a0 = _parse_floats(args.a0, 4, "--a0")
         fields = {"R": dynamics.field_R, "X": dynamics.field_X,

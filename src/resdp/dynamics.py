@@ -6,10 +6,13 @@ and the opposite sign for "minus".  The Hamiltonian vector field is the one
 with d/dt F = {H, F}, under which the circle momentum generates exactly the
 resonant circle action (e^{i n t} a1, e^{i m t} a2) for both signatures.
 
-Both flows run through one classical 4th-order Runge-Kutta loop; the
-public flows measure conservation, never assume it.
+Both flows run through one classical 4th-order Runge-Kutta loop on a list
+of Python floats, so a stage makes no numpy call; the upstairs field is a
+signed permutation of the gradient.  The public flows measure conservation,
+never assume it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +79,11 @@ class DownstairsHamiltonian:
 def pullback(res, ham):
     """The downstairs Hamiltonian composed with the leaf map, with closed-form gradient.
 
-    The gradient of (alpha X + beta Y + gamma Z) o leaf_map is evaluated in
-    Python scalars.  With w = X - iY = a1^m conj(a2)^n, the X and Y rows of
-    the Jacobian come from pa = dw/da1 = m a1^(m-1) conj(a2)^n and pb =
-    dw/dconj(a2) = n a1^m conj(a2)^(n-1); the Z row is (n x1, n y1, -/+ m x2,
-    -/+ m y2).
+    The gradient of (alpha X + beta Y + gamma Z) o leaf_map takes the four
+    coordinates as any sequence and returns a tuple of Python floats.  With
+    w = X - iY = a1^m conj(a2)^n, the X and Y rows of the Jacobian come from
+    pa = dw/da1 = m a1^(m-1) conj(a2)^n and pb = dw/dconj(a2) = n a1^m
+    conj(a2)^(n-1); the Z row is (n x1, n y1, -/+ m x2, -/+ m y2).
     """
     n, m = res.n, res.m
     alpha, beta, gamma = ham.alpha, ham.beta, ham.gamma
@@ -88,17 +91,15 @@ def pullback(res, ham):
     gz2 = -gamma * m if res.sign == PLUS else gamma * m
 
     def grad(a):
-        x1, y1, x2, y2 = np.asarray(a, dtype=float).tolist()
+        x1, y1, x2, y2 = a
         a1 = complex(x1, y1)
         c2 = complex(x2, -y2)
         pa = m * a1 ** (m - 1) * c2 ** n
         pb = n * a1 ** m * c2 ** (n - 1)
-        return np.array([
-            alpha * pa.real - beta * pa.imag + gz1 * x1,
-            -alpha * pa.imag - beta * pa.real + gz1 * y1,
-            alpha * pb.real - beta * pb.imag + gz2 * x2,
-            alpha * pb.imag + beta * pb.real + gz2 * y2,
-        ])
+        return (alpha * pa.real - beta * pa.imag + gz1 * x1,
+                -alpha * pa.imag - beta * pa.real + gz1 * y1,
+                alpha * pb.real - beta * pb.imag + gz2 * x2,
+                alpha * pb.imag + beta * pb.real + gz2 * y2)
 
     return ScalarField(lambda a: ham.value(rm.leaf_map(res, a)), grad, "pullback")
 
@@ -123,23 +124,27 @@ def canonical_bracket(sign, f, g, a):
 def _rk4(rhs, y0, dt, steps, accept):
     """Classical 4th-order one-step integration; returns the (steps + 1, d) states.
 
-    rhs(t, y) receives the stage time, so a stage that leaves its domain can
-    report when.  accept(y, k) runs on the state after step k and raises to
-    reject it.  An OverflowError inside a step becomes StepRejected.
+    The state is a list of floats and rhs(t, y) returns a sequence of floats;
+    each component sees the operations of y + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
+    rhs receives the stage time, so a stage that leaves its domain can report
+    when.  accept(y, k) runs on the state after step k and raises to reject
+    it.  An OverflowError inside a step becomes StepRejected.
     """
     out = np.empty((steps + 1, len(y0)))
     out[0] = y0
     y = y0
     half = 0.5 * dt
+    sixth = dt / 6.0
     k = 0
     try:
         for k in range(steps):
             t = k * dt
             k1 = rhs(t, y)
-            k2 = rhs(t + half, y + half * k1)
-            k3 = rhs(t + half, y + half * k2)
-            k4 = rhs((k + 1) * dt, y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(t + half, [u + half * v for u, v in zip(y, k1)])
+            k3 = rhs(t + half, [u + half * v for u, v in zip(y, k2)])
+            k4 = rhs((k + 1) * dt, [u + dt * v for u, v in zip(y, k3)])
+            y = [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+                 for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)]
             accept(y, k + 1)
             out[k + 1] = y
     except OverflowError as exc:
@@ -149,8 +154,8 @@ def _rk4(rhs, y0, dt, steps, accept):
 
 
 def _step_count(dt, total):
-    if dt <= 0.0 or total < dt:
-        raise ValueError("need dt > 0 and T >= dt")
+    if not (0.0 < dt <= total and total / dt < math.inf):
+        raise ValueError("need dt > 0, T >= dt and a finite T / dt")
     return int(round(total / dt))
 
 
@@ -161,20 +166,24 @@ def _guard_norm(norm, k):
 
 
 def _upstairs_states(sign, grad, a0, dt, steps):
-    """RK4 states of the flow whose vector field is omega @ grad(a)."""
+    """RK4 states of the flow whose vector field is omega @ grad(a), a signed permutation."""
     ps.check_sign(sign)
-    omega = ps.omega_matrix(sign)
+    s = 1.0 if sign == PLUS else -1.0
+
+    def rhs(t, a):
+        g0, g1, g2, g3 = grad(a)
+        return (-g1, g0, -s * g3, s * g2)
 
     def accept(a, k):
-        _guard_norm(np.linalg.norm(a), k)
+        _guard_norm(math.sqrt(sum(u * u for u in a)), k)
 
-    return _rk4(lambda t, a: omega @ grad(a), np.asarray(a0, dtype=float), dt, steps, accept)
+    return _rk4(rhs, np.asarray(a0, dtype=float).tolist(), dt, steps, accept)
 
 
 def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
     """Flow of the Hamiltonian vector field defined by the symplectic form."""
     steps = _step_count(dt, total_time)
-    states = _upstairs_states(sign, hamiltonian.gradient, a0, dt, steps)
+    states = _upstairs_states(sign, lambda a: hamiltonian.gradient(a).tolist(), a0, dt, steps)
     times = dt * np.arange(steps + 1)
     log = np.array([hamiltonian(a) for a in states])
     return Trajectory(times=times, states=states, conserved={"H": log})
@@ -194,20 +203,20 @@ def _downstairs_states(res, hamiltonian, p0, dt, steps):
     hx, hy, hz = hamiltonian.alpha, hamiltonian.beta, hamiltonian.gamma
 
     def rhs(t, p):
-        x, y, z = p.tolist()
-        if not casimir.in_leaf_domain(res, (x, y, z), _AXIS_MARGIN):
+        if not casimir.in_leaf_domain(res, p, _AXIS_MARGIN):
             raise DomainExit(t)
+        x, y, z = p
         vx = 2.0 * mn * x
         vy = 2.0 * mn * y
         vz = -mn * casimir._kummer_dz(res, c0, z)
-        return np.array([vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx])
+        return (vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx)
 
     def accept(p, k):
         _guard_norm(abs(p[0]) + abs(p[1]) + abs(p[2]), k)
         if not casimir.in_leaf_domain(res, p, _AXIS_MARGIN):
             raise DomainExit(k * dt)
 
-    return _rk4(rhs, p0, dt, steps, accept)
+    return _rk4(rhs, p0.tolist(), dt, steps, accept)
 
 
 def flow_downstairs(res, hamiltonian, p0, dt, total_time):

@@ -107,6 +107,19 @@ class TestUsageErrors:
         assert "--samples and --tol" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("level", ["upstairs", "downstairs"])
+    @pytest.mark.parametrize("dt,total", [("-1", "1"), ("0", "1"), ("nan", "1"),
+                                          ("1e-3", "inf"), ("0.1", "0.05")])
+    def test_bad_flow_steps_rejected(self, level, dt, total, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = main(["flow", level, "--dt", dt, "--T", total, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: need dt > 0, T >= dt and a finite T / dt, "
+                                f"got --dt {float(dt)} and --T {float(total)}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "identity", "--samples", "10", "--seed", "-1"]) == 2
         capsys.readouterr()

@@ -171,6 +171,13 @@ class TestFlowUpstairs:
             dyn.flow_upstairs("plus", dyn.field_R(Resonance(1, 1)),
                               [1.0, 0, 0, 0], -1e-3, 1.0)
 
+    @pytest.mark.parametrize("dt,total", [(np.nan, 1.0), (1e-3, np.nan), (1e-3, np.inf),
+                                          (np.inf, np.inf), (5e-324, 1.0)])
+    def test_non_finite_steps_rejected(self, dt, total):
+        # The last pair has a finite dt and T, but T / dt overflows.
+        with pytest.raises(ValueError, match="finite T / dt"):
+            dyn._step_count(dt, total)
+
     def test_nan_state_rejected(self):
         # A NaN norm is not above the blowup bound, yet the state is no state.
         nan_after = ScalarField(lambda a: 0.0, lambda a: np.full(4, np.nan))
