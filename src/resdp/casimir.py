@@ -13,13 +13,17 @@ condition n^m m^n (x^2 + y^2) < z^(n+m).  In both cases the defining
 polynomial has a single simple root in the bracket, so bisection is always
 correct and Newton steps only accelerate the endgame.
 
-The solver is deterministic: identical inputs produce bit-identical output.
+One array Newton-bisection solves every point: a batch of k points runs
+it on k rows, and a single point is a one-row batch.  The solver is
+deterministic, and each row's float operations do not depend on the other
+rows, so a point's bits are the same alone and in any batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import phase_space as ps
 from .errors import NoConvergence, OffDomain
 from .phase_space import PLUS, int_pow
 
@@ -101,79 +105,15 @@ def _kummer_dz(res, c, z):
     return _eval(res.n, res.m, -res.m if res.sign == PLUS else res.m, 0.0, c, z)[1]
 
 
-def _newton_bisect(evaluate, lo, hi, increasing):
-    """Bracketed Newton with bisection fallback on a single simple root.
-
-    The bracket is maintained from the sign of the residual; a Newton
-    candidate is taken only when it lands strictly inside the bracket.
-    Stops when the bracket width passes tolerance or the Newton step falls
-    below float resolution (the iterate cannot improve further).
-    """
-    r = 0.5 * (lo + hi)
-    iterations = 0
-    for _ in range(_MAX_ITER):
-        iterations += 1
-        val, dval = evaluate(r)
-        if val == 0.0:
-            return r, iterations
-        below = (val < 0.0) if increasing else (val > 0.0)
-        if below:
-            lo = r
-        else:
-            hi = r
-        if hi - lo < _WIDTH_TOL * (1.0 + r):
-            return r, iterations
-        if dval != 0.0:
-            candidate = r - val / dval
-            if candidate == r:
-                return r, iterations
-            if lo < candidate < hi:
-                r = candidate
-                continue
-        r = 0.5 * (lo + hi)
-    raise NoConvergence(f"no root to width tolerance after {_MAX_ITER} iterations")
-
-
-def _solve_plus(n, m, rho2, z):
-    az = abs(z)
-    lo = az * (1.0 + 1e-12) + 1e-300
-    val, _ = _eval(n, m, m, rho2, z, lo)
-    if val >= 0.0:
-        # Root pinched between |z| and lo; tighten the left endpoint.  At
-        # lo == |z| the product is 0 and val = -rho2 < 0, so the loop can only
-        # run out where the product overflows there (inf * 0 = nan).
-        hi = lo
-        for _ in range(64):
-            lo = az + (lo - az) / 16.0
-            val, _ = _eval(n, m, m, rho2, z, lo)
-            if val < 0.0:
-                break
-            hi = lo
-        else:
-            raise NoConvergence(f"root pinched against |z| = {az:.6g}, where the Kummer "
-                                "product overflows")
-    else:
-        hi = max(az + 1.0, 2.0 * lo)
-        doublings = 0
-        while _eval(n, m, m, rho2, z, hi)[0] <= 0.0:
-            hi *= 2.0
-            doublings += 1
-            if doublings > 300:
-                raise NoConvergence("upper bracket search failed")
-    return _newton_bisect(lambda r: _eval(n, m, m, rho2, z, r), lo, hi, True)
-
-
-def _solve_minus(n, m, rho2, z):
-    return _newton_bisect(lambda r: _eval(n, m, -m, rho2, z, r), 0.0, abs(z), False)
-
-
 def _newton_bisect_rows(n, m, sm, rho2, z, lo, hi):
-    """_newton_bisect on arrays of brackets, each row taking the scalar steps.
+    """Bracketed Newton with bisection fallback, on arrays of brackets.
 
-    Every row sees the float operations of the scalar solver in the same
-    order, so roots and iteration counts are bit-identical to it.  Rows
-    that stop leave the active set; the rest go on.  The root is increasing
-    in the residual's sign exactly when sm > 0.
+    Each row holds a single simple root.  Its bracket is kept from the sign
+    of the residual; a Newton candidate is taken only when it lands strictly
+    inside the bracket.  A row stops when its bracket width passes tolerance
+    or its Newton step falls below float resolution, and leaves the active
+    set; the rest go on.  The root is increasing in the residual's sign
+    exactly when sm > 0.
     """
     value = np.empty_like(lo)
     iterations = np.empty(len(lo), dtype=np.int64)
@@ -198,9 +138,12 @@ def _newton_bisect_rows(n, m, sm, rho2, z, lo, hi):
 
 
 def _solve_plus_rows(n, m, rho2, z):
-    """_solve_plus on arrays: the same brackets, then one Newton-bisection over the rows."""
+    """Bounded family: bracket every root on (|z|, inf), then one Newton-bisection."""
     az = np.abs(z)
     lo = az * (1.0 + 1e-12) + 1e-300
+    # A root pinched between |z| and lo has its left endpoint tightened.  At
+    # lo == |z| the product is 0 and the residual -rho2 < 0, so the loop can
+    # only run out where the product overflows there (inf * 0 = nan).
     pinched = _eval(n, m, m, rho2, z, lo)[0] >= 0.0
     hi = np.where(pinched, lo, np.maximum(az + 1.0, 2.0 * lo))
     tight = np.flatnonzero(pinched)
@@ -211,7 +154,8 @@ def _solve_plus_rows(n, m, rho2, z):
         tight = tight[~(_eval(n, m, m, rho2[tight], z[tight], lo[tight])[0] < 0.0)]
         hi[tight] = lo[tight]
     if tight.size:
-        raise NoConvergence(f"row {tight[0]}: root pinched against |z| = {az[tight[0]]:.6g}")
+        raise NoConvergence(f"row {tight[0]}: root pinched against |z| = {az[tight[0]]:.6g}, "
+                            "where the Kummer product overflows")
     grow = np.flatnonzero(~pinched)
     for doublings in range(1, 302):
         grow = grow[_eval(n, m, m, rho2[grow], z[grow], hi[grow])[0] <= 0.0]
@@ -224,7 +168,7 @@ def _solve_plus_rows(n, m, rho2, z):
 
 
 def _solve_rows(res, rho2, z):
-    """Roots and iteration counts at the rows (rho2, z), as the scalar solver finds them."""
+    """Roots and iteration counts at the rows (rho2, z)."""
     if res.sign == PLUS:
         return _solve_plus_rows(res.n, res.m, rho2, z)
     return _newton_bisect_rows(res.n, res.m, -res.m, rho2, z, np.zeros_like(z), np.abs(z))
@@ -233,61 +177,48 @@ def _solve_rows(res, rho2, z):
 def solve_casimir(res, p):
     """Casimir value, gradient, and diagnostics at a leaf point or a batch of them.
 
-    A single point (shape (3,)) runs the scalar solver in Python floats.  A
-    batch (shape (k, 3)) runs the array solver, which gives each row the
-    same float operations, so the same bits, at a fraction of the cost per
-    point; its value and residual have shape (k,), its gradient (k, 3), and
-    its iterations are summed over the rows.  Raises OffDomain when a point
-    is on the z axis (either family) or outside the open set of the
-    unbounded family.
+    A batch (shape (k, 3)) returns value and residual of shape (k,), the
+    gradient (k, 3), and its iterations summed over the rows.  A single
+    point (shape (3,)) is a one-row batch: it returns a float value and
+    residual, a (3,) gradient and an int iteration count, and costs about
+    0.25-0.36 ms against under 0.5 us a row in a batch of 10^4, so callers
+    with many points solve them together.  Raises OffDomain, naming the
+    first bad row of a batch, when a point is on the z axis (either family)
+    or outside the open set of the unbounded family.
     """
-    sm = res.m if res.sign == PLUS else -res.m
-    if isinstance(p, np.ndarray) and p.ndim > 1:
-        inside = in_leaf_domain(res, p)
-        if not inside.all():
-            bad = tuple(p[np.argmin(inside)])
-            raise OffDomain(f"point {bad} outside the {res.sign} Casimir domain")
-        x, y, z = p.T
-        rho2 = x * x + y * y
-        with np.errstate(all="ignore"):
-            # Python floats overflow to inf and nan silently; so do the rows.
-            value, iterations = _solve_rows(res, rho2, z)
-            residual = np.abs(_eval(res.n, res.m, sm, rho2, z, value)[0])
-            gradient = _gradient_from_value(res, x, y, z, rho2, value).T
-        return CasimirEval(value=value, gradient=gradient,
-                           iterations=int(iterations.sum()), residual=residual)
-    x, y, z = (float(c) for c in p)
+    p = np.asarray(p, dtype=float)
+    ps.raise_on_first(np.logical_not(in_leaf_domain(res, p)), OffDomain,
+                      "point ({}, {}, {}){row} outside the %s Casimir domain" % res.sign,
+                      *np.moveaxis(p, -1, 0))
+    rows = p.reshape(-1, 3)
+    x, y, z = rows.T
     rho2 = x * x + y * y
-    if not in_leaf_domain(res, (x, y, z)):
-        raise OffDomain(f"point {(x, y, z)} outside the {res.sign} Casimir domain")
-    if res.sign == PLUS:
-        value, iterations = _solve_plus(res.n, res.m, rho2, z)
-    else:
-        value, iterations = _solve_minus(res.n, res.m, rho2, z)
-    residual = abs(_eval(res.n, res.m, sm, rho2, z, value)[0])
-    gradient = _gradient_from_value(res, x, y, z, rho2, value)
+    sm = res.m if res.sign == PLUS else -res.m
+    with np.errstate(all="ignore"):
+        # Overflow goes to inf and nan silently; the residual shows it.
+        value, iterations = _solve_rows(res, rho2, z)
+        residual = np.abs(_eval(res.n, res.m, sm, rho2, z, value)[0])
+        scale = rho2 * (res.m / (value + z) + res.n / (value - z))
+        gradient = field_on_level(res, rows, value) / scale[:, None]
+    if p.ndim == 1:
+        return CasimirEval(value=float(value[0]), gradient=gradient[0],
+                           iterations=int(iterations[0]), residual=float(residual[0]))
     return CasimirEval(value=value, gradient=gradient,
-                       iterations=iterations, residual=residual)
+                       iterations=int(iterations.sum()), residual=residual)
 
 
-def _field_third_component(res, rho2, z, c):
-    return -rho2 * (res.m / (c + z) - res.n / (c - z))
-
-
-def _gradient_from_value(res, x, y, z, rho2, c):
-    scale = rho2 * (res.m / (c + z) + res.n / (c - z))
-    return np.array([2.0 * x, 2.0 * y, _field_third_component(res, rho2, z, c)]) / scale
+def field_on_level(res, p, c):
+    """leaf_field at points p (..., 3) of the level set c, without a solve; broadcasts."""
+    x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    rho2 = x * x + y * y
+    return np.stack([2.0 * x, 2.0 * y, -rho2 * (res.m / (c + z) - res.n / (c - z))], axis=-1)
 
 
 def leaf_field(res, p):
     """The structure-defining field (2x, 2y, -(x^2+y^2)(m/(C+z) - n/(C-z))).
 
     Equals the spatial gradient of the defining polynomial on the level set,
-    so it is collinear with the Casimir gradient.
+    so it is collinear with the Casimir gradient.  Takes a point (3,) or a
+    batch (k, 3), solved in one call.
     """
-    p = np.asarray(p, dtype=float)
-    x, y, z = (float(c) for c in p)
-    rho2 = x * x + y * y
-    c = solve_casimir(res, p).value
-    return np.array([2.0 * x, 2.0 * y, _field_third_component(res, rho2, z, c)])
-
+    return field_on_level(res, p, solve_casimir(res, p).value)

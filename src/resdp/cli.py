@@ -3,7 +3,7 @@
 Subcommands: casimir (point query), curve / mesh (geometry export), flow
 (upstairs | downstairs trajectory CSV), and verify (numerical certification
 with JSON reports).  Exit codes: 0 success or pass, 1 verification failure,
-2 usage error, 3 domain or convergence error.
+2 usage error, 3 any other library error (domain, convergence, group action).
 """
 
 import argparse
@@ -14,13 +14,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import casimir, dynamics, jsonio, shapes, verification
-from .errors import (BadParams, DomainExit, EmptyFiber, NoConvergence, OffDomain,
-                     OnAxis, StepRejected, ZeroPoint)
+from .errors import BadParams, ResdpError
 from .phase_space import MINUS, PLUS
 from .resonance_maps import Resonance
-
-_DOMAIN_ERRORS = (OffDomain, NoConvergence, DomainExit, EmptyFiber, OnAxis,
-                  ZeroPoint, StepRejected)
 
 
 def _default_seed():
@@ -254,7 +250,7 @@ def main(argv=None):
     except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except ResdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

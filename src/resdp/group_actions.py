@@ -59,11 +59,6 @@ def _inv2(mat):
     return adj / _det2(mat)[..., None, None]
 
 
-def identity(sign):
-    ps.check_sign(sign)
-    return GroupElement(np.eye(2, dtype=complex), sign)
-
-
 def group_defect(g):
     """Max violation of the defining constraints (det, shape, form), per element."""
     mat = np.asarray(g.matrix, dtype=complex)
@@ -102,11 +97,6 @@ def element_from_draws(sign, draws):
         return su2_element(*ps.to_complex(draws))
     t, phi, psi = np.moveaxis(np.asarray(draws, dtype=float), -1, 0)
     return su11_element(np.cosh(t) * np.exp(1j * phi), np.sinh(t) * np.exp(1j * psi))
-
-
-def random_element(sign, rng):
-    """One random element of the sign's group."""
-    return element_from_draws(sign, draw_element(sign, rng))
 
 
 def lie_algebra_matrix(sign, v):

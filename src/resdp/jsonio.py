@@ -90,6 +90,3 @@ def _write(obj, out, indent, level):
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
-
-def loads(text):
-    return json.loads(text)

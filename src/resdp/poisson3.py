@@ -8,6 +8,11 @@ with bracket {F, G} = v . (grad F x grad G) and Hamiltonian vector field
 X_H = v x grad H.  The bivector is Poisson exactly when v . curl v = 0,
 which holds in particular for v = f grad C with f nonvanishing; then C is a
 Casimir and its level sets carry the symplectic leaves.
+
+field_at, bracket, hamiltonian_vf, integrability_defect and jacobi_defect
+take a point (3,) or a batch (k, 3); a single point is the () case of the
+same code.  On a batch the field and the gradients must take batches, and
+every point keeps the bits of its single-point call.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +22,21 @@ import numpy as np
 
 from . import casimir
 from .errors import OffDomain
-from .phase_space import PLUS
+from .phase_space import PLUS, raise_on_first
+
+
+def dot(u, v):
+    """Inner products over the last axis; broadcasts.
+
+    A stacked matmul, which rounds as the 1-D u @ v does, so a point has
+    the same bits alone and in a batch.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def norm(u):
+    """Euclidean norms over the last axis, rounding as np.linalg.norm of one vector."""
+    return np.sqrt(dot(u, u))
 
 
 def central_difference(fn, p, h):
@@ -25,16 +44,19 @@ def central_difference(fn, p, h):
 
     At one point p, a scalar fn gives the gradient and a vector-valued fn the
     Jacobian, whose column i is the difference along axis i.  At a batch of
-    points p (k, d) with steps h (k,), fn is scalar-valued on batches and is
-    called once, on all 2 d k stencil points; the result is (k, d).
+    points p (k, d) with steps h (k,) or one step for all, fn is called
+    once, on all 2 d k stencil points, and must take batches; the result is
+    (k, d) for a scalar fn and the (k, r, d) Jacobians for an r-vector fn.
     """
     p = np.asarray(p, dtype=float)
     d = p.shape[-1]
     if p.ndim > 1:
-        h = np.asarray(h, dtype=float)[:, None]
-        step = np.eye(d) * h[..., None]
-        vals = fn((p[:, None, :] + np.stack([step, -step])).reshape(-1, d)).reshape(2, -1, d)
-        return (vals[0] - vals[1]) / (2.0 * h)
+        h = np.broadcast_to(np.asarray(h, dtype=float), p.shape[:1])
+        step = np.eye(d) * h[:, None, None]
+        vals = fn((p[:, None, :] + np.stack([step, -step])).reshape(-1, d))
+        vals = vals.reshape((2, -1, d) + vals.shape[1:])
+        diff = (vals[0] - vals[1]) / (2.0 * h).reshape((-1,) + (1,) * (vals.ndim - 2))
+        return np.moveaxis(diff, 1, -1)
     cols = []
     for i in range(d):
         e = np.zeros(d)
@@ -62,7 +84,7 @@ class ScalarField:
         p = np.asarray(p, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(p), dtype=float)
-        return central_difference(self.fn, p, 1e-6 * (1.0 + np.linalg.norm(p)))
+        return central_difference(self.fn, p, 1e-6 * (1.0 + norm(p)))
 
 
 def coordinate_fields():
@@ -88,16 +110,16 @@ class PoissonStructure3:
         return np.asarray(self.field(p), dtype=float)
 
     def _require(self, p):
-        if not self.domain(np.asarray(p, dtype=float)):
-            raise OffDomain(f"point {tuple(np.asarray(p, float))} outside domain "
-                            f"of structure {self.label!r}")
+        bad = np.broadcast_to(np.logical_not(self.domain(p)), p.shape[:-1])
+        label = repr(self.label).replace("{", "{{").replace("}", "}}")
+        raise_on_first(bad, OffDomain, "point ({}, {}, {}){row} outside domain of structure "
+                       + label, *np.moveaxis(p, -1, 0))
 
 
 def bracket(structure, f, g, p):
-    """{F, G} = v . (grad F x grad G) at p."""
+    """{F, G} = v . (grad F x grad G) at p (3,) or at each point of a batch (k, 3)."""
     p = np.asarray(p, dtype=float)
-    v = structure.field_at(p)
-    return float(v @ np.cross(f.gradient(p), g.gradient(p)))
+    return dot(structure.field_at(p), np.cross(f.gradient(p), g.gradient(p)))
 
 
 def hamiltonian_vf(structure, h, p):
@@ -114,7 +136,8 @@ def hamiltonian_vf(structure, h, p):
 
 def _fd_curl(structure, p, h):
     jac = central_difference(structure.field_at, p, h)
-    return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
+    return np.stack([jac[..., 2, 1] - jac[..., 1, 2], jac[..., 0, 2] - jac[..., 2, 0],
+                     jac[..., 1, 0] - jac[..., 0, 1]], axis=-1)
 
 
 def integrability_defect(structure, p):
@@ -122,15 +145,16 @@ def integrability_defect(structure, p):
 
     Central differences at steps h and h/2 (h = 1e-5 * (1 + |p|))
     combine to cancel the leading truncation term, which matters for fields
-    with nearby poles.
+    with nearby poles.  On a batch (k, 3) the field runs once per step, on
+    all the stencil points.
     """
     p = np.asarray(p, dtype=float)
     v = structure.field_at(p)
-    h = 1e-5 * (1.0 + np.linalg.norm(p))
+    h = 1e-5 * (1.0 + norm(p))
     coarse = _fd_curl(structure, p, h)
     fine = _fd_curl(structure, p, 0.5 * h)
     curl = (4.0 * fine - coarse) / 3.0
-    return float(abs(v @ curl))
+    return np.abs(dot(v, curl))
 
 
 def jacobi_defect(structure, f, g, h, p):
@@ -140,9 +164,9 @@ def jacobi_defect(structure, f, g, h, p):
 
     def outer(a, b, c):
         grad_inner = central_difference(lambda q: bracket(structure, a, b, q), p, 1e-4)
-        return float(v @ np.cross(grad_inner, c.gradient(p)))
+        return dot(v, np.cross(grad_inner, c.gradient(p)))
 
-    return float(abs(outer(f, g, h) + outer(g, h, f) + outer(h, f, g)))
+    return np.abs(outer(f, g, h) + outer(g, h, f) + outer(h, f, g))
 
 
 def bivector_matrix(structure, p):

@@ -34,7 +34,15 @@ def field_over_gradient(res, p):
     bounded family, nonvanishing but of either sign for the unbounded one.
     """
     g = casimir.solve_casimir(res, p).gradient
-    return casimir.leaf_field(res, p) @ g / (g @ g)
+    return np.sum(casimir.leaf_field(res, p) * g, axis=-1) / np.sum(g * g, axis=-1)
+
+
+def by_cell(pairs):
+    """(res, point, ...) tuples grouped per cell: {res: (points (k, 3), extras...)}."""
+    groups = {}
+    for res, *row in pairs:
+        groups.setdefault(res, []).append(row)
+    return {res: tuple(np.array(col) for col in zip(*rows)) for res, rows in groups.items()}
 
 
 class TestShapeEquations:
@@ -131,23 +139,26 @@ class TestSolver:
         eps = np.finfo(float).eps
         rng = np.random.default_rng(2)
         for sign in ("plus", "minus"):
+            pairs = []
             for _ in range(200):
                 n = int(rng.integers(1, 6))
                 m = int(rng.integers(1, 6))
                 res = Resonance(n, m, sign)
                 a = sample_in_domain(res, 1, rng)[0]
                 p = rm.leaf_map(res, a)
-                if not casimir.in_leaf_domain(res, p):
-                    continue
+                if casimir.in_leaf_domain(res, p):
+                    pairs.append((res, p))
+            for res, (p,) in by_cell(pairs).items():
                 ev = casimir.solve_casimir(res, p)
-                rho2 = p[0] ** 2 + p[1] ** 2
+                x, y, z = p.T
+                rho2 = x ** 2 + y ** 2
                 if sign == "plus":
-                    assert ev.value > abs(p[2])
+                    assert np.all(ev.value > np.abs(z))
                 else:
-                    assert 0.0 < ev.value < abs(p[2])
-                slope = abs(rho2 * (m / (ev.value + p[2]) + n / (ev.value - p[2])))
+                    assert np.all((0.0 < ev.value) & (ev.value < np.abs(z)))
+                slope = np.abs(rho2 * (res.m / (ev.value + z) + res.n / (ev.value - z)))
                 floor = 4.0 * slope * eps * ev.value
-                assert ev.residual < max(1e-13 * (1.0 + rho2), floor)
+                assert np.all(ev.residual < np.maximum(1e-13 * (1.0 + rho2), floor))
                 assert np.all(np.isfinite(ev.gradient))
 
     def test_deterministic_bits(self):
@@ -190,36 +201,55 @@ def leaf_and_stencil_points(res, seed):
 
 class TestArrayDriver:
     @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_rows_match_scalar_solver_bit_for_bit(self, res, seed):
-        for pts in leaf_and_stencil_points(res, seed):
-            batch = casimir.solve_casimir(res, pts)
-            values, iterations = casimir._solve_rows(res, pts[:, 0] ** 2 + pts[:, 1] ** 2,
-                                                     pts[:, 2])
-            single = [casimir.solve_casimir(res, p) for p in pts]
-            assert values.tolist() == [ev.value for ev in single]
-            assert iterations.tolist() == [ev.iterations for ev in single]
-            assert batch.value.tolist() == values.tolist()
-            assert batch.residual.tolist() == [ev.residual for ev in single]
-            assert batch.gradient.tolist() == [ev.gradient.tolist() for ev in single]
-            assert type(batch.iterations) is int
-            assert batch.iterations == sum(ev.iterations for ev in single)
+    def test_batch_equals_its_rows_solved_one_at_a_time(self, res):
+        # 12 rows a cell, 6 leaf points and 6 stencil points, each solved
+        # alone as a one-row batch, against the batch of all the points.
+        leaf, stencil = leaf_and_stencil_points(res, 1)
+        pts = np.concatenate([leaf, stencil])
+        batch = casimir.solve_casimir(res, pts)
+        values, iterations = casimir._solve_rows(res, pts[:, 0] ** 2 + pts[:, 1] ** 2, pts[:, 2])
+        assert batch.value.tolist() == values.tolist()
+        assert type(batch.iterations) is int
+        assert batch.iterations == int(iterations.sum())
+        picks = np.concatenate([np.arange(6), len(leaf) + np.linspace(0, len(stencil) - 1, 6,
+                                                                      dtype=int)])
+        for i in picks:
+            ev = casimir.solve_casimir(res, pts[i])
+            assert type(ev.value) is float and type(ev.residual) is float
+            assert type(ev.iterations) is int and ev.gradient.shape == (3,)
+            assert ev.value == batch.value[i]
+            assert ev.iterations == iterations[i]
+            assert ev.residual == batch.residual[i]
+            assert ev.gradient.tolist() == batch.gradient[i].tolist()
 
     @pytest.mark.parametrize("n,m,z", [(1, 4, 1e80), (3, 3, 1e110), (1, 1, -1.5e308)])
-    def test_pinched_root_raises_in_both_solvers(self, n, m, z):
+    def test_pinched_root_raises(self, n, m, z):
         # At lo == |z| the Kummer product is 0 and the residual -rho2 < 0, so
         # the tightening loop runs out only where the product overflows at
-        # |z| (inf * 0 = nan).  There is no root to report, so both solvers
-        # raise; the array solver names the row, after a good row 0.
-        with pytest.raises(NoConvergence, match="pinched"):
-            casimir._solve_plus(n, m, 1e-20, z)
-        with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="^row 1: .*pinched"):
-            casimir._solve_rows(Resonance(n, m), np.array([1.0, 1e-20]), np.array([0.5, z]))
+        # |z| (inf * 0 = nan).  There is no root to report, so the solver
+        # raises, alone and after a good row 0, naming the row.
+        with pytest.raises(NoConvergence, match="^row 0: .*pinched"):
+            casimir.solve_casimir(Resonance(n, m), [1e-10, 0.0, z])
+        with pytest.raises(NoConvergence, match="^row 1: .*pinched"):
+            casimir.solve_casimir(Resonance(n, m), [[1.0, 0.0, 0.5], [1e-10, 0.0, z]])
 
     def test_batch_off_domain_rejected(self):
         pts = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
         with pytest.raises(OffDomain):
             casimir.solve_casimir(Resonance(2, 1), pts)
+
+    def test_off_domain_messages_name_the_point_and_row(self):
+        res = Resonance(1, 1, "minus")
+        with pytest.raises(OffDomain) as single:
+            casimir.solve_casimir(res, [1.0, 0.0, 0.5])
+        assert str(single.value) == "point (1.0, 0.0, 0.5) outside the minus Casimir domain"
+        with pytest.raises(OffDomain) as batch:
+            casimir.solve_casimir(res, np.array([[0.6, 0.0, 1.0], [1.0, 0.0, 0.5]]))
+        assert str(batch.value) == "point (1.0, 0.0, 0.5) at row 1 outside the minus Casimir domain"
+
+    def test_empty_batch(self):
+        ev = casimir.solve_casimir(Resonance(2, 1), np.empty((0, 3)))
+        assert ev.value.shape == (0,) and ev.gradient.shape == (0, 3) and ev.iterations == 0
 
 
 def domain_probe_points(res, rng):
@@ -293,26 +323,20 @@ class TestGradient:
         res = Resonance(n, m, sign)
         rng = np.random.default_rng(3)
         a = sample_in_domain(res, 200, rng, lo=0.35, hi=1.4)
-        checked = 0
-        for point in a:
-            p = rm.leaf_map(res, point)
-            if p[0] ** 2 + p[1] ** 2 < 1e-2:
-                continue
-            if sign == "minus":
-                scale = float(n) ** m * float(m) ** n
-                if scale * (p[0] ** 2 + p[1] ** 2) > 0.8 * p[2] ** (n + m):
-                    continue
-            grad = casimir.solve_casimir(res, p).gradient
-            h = 1e-6 * (1.0 + np.linalg.norm(p))
-            fd = np.zeros(3)
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = h
-                fd[i] = (casimir.solve_casimir(res, p + e).value
-                         - casimir.solve_casimir(res, p - e).value) / (2 * h)
-            assert np.linalg.norm(grad - fd) < 1e-6 * np.linalg.norm(fd)
-            checked += 1
-        assert checked >= 50
+        p = rm.leaf_map(res, a)
+        rho2 = p[:, 0] ** 2 + p[:, 1] ** 2
+        keep = rho2 >= 1e-2
+        if sign == "minus":
+            scale = float(n) ** m * float(m) ** n
+            keep &= ~(scale * rho2 > 0.8 * p[:, 2] ** (n + m))
+        p = p[keep]
+        grad = casimir.solve_casimir(res, p).gradient
+        h = 1e-6 * (1.0 + np.linalg.norm(p, axis=-1))
+        fd = np.stack([(casimir.solve_casimir(res, p + e * h[:, None]).value
+                        - casimir.solve_casimir(res, p - e * h[:, None]).value) / (2 * h)
+                       for e in np.eye(3)], axis=-1)
+        assert np.all(np.linalg.norm(grad - fd, axis=-1) < 1e-6 * np.linalg.norm(fd, axis=-1))
+        assert len(p) >= 50
 
 
 class TestLeafField:
@@ -335,8 +359,8 @@ class TestLeafField:
 
     def test_scaling_factor_positive_on_bounded_family(self):
         rng = np.random.default_rng(4)
-        count = 0
-        while count < 1000:
+        pairs = []
+        while len(pairs) < 1000:
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
             res = Resonance(n, m)
@@ -344,14 +368,15 @@ class TestLeafField:
             p = rm.leaf_map(res, a)
             if p[0] ** 2 + p[1] ** 2 < 1e-3:
                 continue
-            assert field_over_gradient(res, p) > 0.0
-            count += 1
+            pairs.append((res, p))
+        for res, (p,) in by_cell(pairs).items():
+            assert np.all(field_over_gradient(res, p) > 0.0)
 
     def test_field_collinear_with_gradient(self):
         rng = np.random.default_rng(5)
         for sign in ("plus", "minus"):
-            done = 0
-            while done < 150:
+            pairs = []
+            while len(pairs) < 150:
                 n = int(rng.integers(1, 5))
                 m = int(rng.integers(1, 5))
                 res = Resonance(n, m, sign)
@@ -359,21 +384,23 @@ class TestLeafField:
                 p = rm.leaf_map(res, a)
                 if not casimir.in_leaf_domain(res, p) or p[0] ** 2 + p[1] ** 2 < 1e-2:
                     continue
+                pairs.append((res, p))
+            for res, (p,) in by_cell(pairs).items():
                 v = casimir.leaf_field(res, p)
                 grad = casimir.solve_casimir(res, p).gradient
-                cross = np.linalg.norm(np.cross(v, grad))
-                assert cross < 1e-9 * np.linalg.norm(v) * np.linalg.norm(grad)
+                cross = np.linalg.norm(np.cross(v, grad), axis=-1)
+                norms = np.linalg.norm(v, axis=-1) * np.linalg.norm(grad, axis=-1)
+                assert np.all(cross < 1e-9 * norms)
                 factor = field_over_gradient(res, p)
-                assert np.allclose(v, factor * grad, rtol=1e-9, atol=1e-12)
-                done += 1
+                assert np.allclose(v, factor[:, None] * grad, rtol=1e-9, atol=1e-12)
 
 
 class TestComposition:
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_casimir_of_leaf_map_recovers_momentum(self, sign):
         rng = np.random.default_rng(6)
-        done = 0
-        while done < 300:
+        pairs = []
+        while len(pairs) < 300:
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
             res = Resonance(n, m, sign)
@@ -384,5 +411,6 @@ class TestComposition:
             p = rm.leaf_map(res, a)
             if not casimir.in_leaf_domain(res, p):
                 continue
+            pairs.append((res, p, r))
+        for res, (p, r) in by_cell(pairs).items():
             assert casimir.solve_casimir(res, p).value == pytest.approx(r, rel=1e-10)
-            done += 1

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from resdp import cli, dynamics, jsonio
+from resdp import cli, dynamics, group_actions, jsonio
 from resdp.cli import main
+from resdp.errors import FiberMismatch
 
 
 def strip_timestamp(text):
@@ -258,6 +259,16 @@ class TestVerifyCommand:
                      "--samples", "2", "--seed", "1"])
         assert code == 3
         assert re.search(r"^error: arithmetic overflow in step \d+", capsys.readouterr().err)
+
+    def test_group_action_error_exits_three(self, capsys, monkeypatch):
+        # Every library error exits 3, not only the domain and convergence ones.
+        def mismatch(a, b, sign):
+            raise FiberMismatch("points on different fibers")
+
+        monkeypatch.setattr(group_actions, "transitive_element", mismatch)
+        code = main(["verify", "transitivity", "--samples", "5"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: points on different fibers\n"
 
     def test_failing_check_exits_one(self, capsys):
         # An absurd tolerance forces a verification failure.

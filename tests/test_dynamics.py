@@ -277,25 +277,33 @@ class TestNambuField:
         ham = dyn.DownstairsHamiltonian(alpha=0.3, beta=-0.2, gamma=0.9)
         grad_h = ScalarField(ham.value, lambda p: np.array([ham.alpha, ham.beta, ham.gamma]))
         structure = poisson3.resonance_structure(res)
-        for p in sample_leaf_points(res, 10, seed=n + 10 * m):
-            want = poisson3.hamiltonian_vf(structure, grad_h, p)
+        pts = sample_leaf_points(res, 10, seed=n + 10 * m)
+        for p, want in zip(pts, poisson3.hamiltonian_vf(structure, grad_h, pts)):
             got = downstairs_rhs(monkeypatch, res, ham, p)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_one_casimir_solve_per_trajectory(self, monkeypatch):
-        calls = {"n": 0}
-        real = casimir._newton_bisect
+        # One public solve at the start point, which runs the Newton-bisection
+        # once, on one row.
+        solves, rows = [], []
+        real_solve, real_rows = casimir.solve_casimir, casimir._newton_bisect_rows
 
-        def counted(*args):
-            calls["n"] += 1
-            return real(*args)
+        def counted_solve(res, p):
+            solves.append(np.shape(p))
+            return real_solve(res, p)
 
-        monkeypatch.setattr(casimir, "_newton_bisect", counted)
+        def counted_rows(*args):
+            rows.append(len(args[-1]))
+            return real_rows(*args)
+
+        monkeypatch.setattr(casimir, "solve_casimir", counted_solve)
+        monkeypatch.setattr(casimir, "_newton_bisect_rows", counted_rows)
         res = Resonance(3, 2)
         a0 = dp.fiber_sample(res, 1.5, 1, seed=6)[0]
         ham = dyn.DownstairsHamiltonian(alpha=0.15, beta=-0.1, gamma=0.8)
         assert dyn.pushforward_defect(res, ham, a0, 1e-3, 1.0) < 1e-6
-        assert calls["n"] == 1
+        assert solves == [(3,)]
+        assert rows == [1]
 
     def test_hamiltonian_log_matches_pointwise_values(self):
         res = Resonance(2, 1)

@@ -10,6 +10,13 @@ def cpoint(a1, a2):
     return ps.from_complex(a1, a2)
 
 
+def random_element(sign, rng):
+    return ga.element_from_draws(sign, ga.draw_element(sign, rng))
+
+
+IDENTITY = ga.GroupElement(np.eye(2, dtype=complex), "plus")
+
+
 class TestLieAlgebra:
     def test_plus_axis_matrices(self):
         assert np.allclose(ga.lie_algebra_matrix("plus", [0, 0, 1]), np.diag([1j, -1j]))
@@ -55,7 +62,7 @@ class TestEmbedAndAct:
 
     def test_identity_acts_trivially(self):
         a = cpoint(0.3 + 0.4j, -1.0 + 0.2j)
-        assert np.allclose(ga.act(ga.identity("plus"), a), a)
+        assert np.allclose(ga.act(IDENTITY, a), a)
 
     def test_rotation_action(self):
         g = ga.GroupElement(np.array([[0, -1], [1, 0]], dtype=complex), "plus")
@@ -71,7 +78,7 @@ class TestEmbedAndAct:
         rng = np.random.default_rng(2)
         for sign in ("plus", "minus"):
             for _ in range(100):
-                g = ga.random_element(sign, rng)
+                g = random_element(sign, rng)
                 a, b = rng.normal(size=(2, 4))
                 before = ps.hermitian(sign, a, b)
                 after = ps.hermitian(sign, ga.act(g, a), ga.act(g, b))
@@ -83,15 +90,15 @@ class TestGroupElements:
         rng = np.random.default_rng(3)
         for sign in ("plus", "minus"):
             for _ in range(100):
-                g = ga.random_element(sign, rng)
+                g = random_element(sign, rng)
                 assert ga.group_defect(g) < 1e-12
 
     def test_closure_products_and_inverses(self):
         rng = np.random.default_rng(4)
         for sign in ("plus", "minus"):
             for _ in range(100):
-                g = ga.random_element(sign, rng)
-                h = ga.random_element(sign, rng)
+                g = random_element(sign, rng)
+                h = random_element(sign, rng)
                 assert ga.group_defect(g @ h) < 1e-12
                 assert ga.group_defect(g.inverse()) < 1e-12
 
@@ -113,7 +120,7 @@ class TestTransitivity:
     def test_su11_roundtrip(self):
         rng = np.random.default_rng(5)
         a = cpoint(2.0, 1.0)
-        g0 = ga.random_element("minus", rng)
+        g0 = random_element("minus", rng)
         b = ga.act(g0, a)
         g = ga.transitive_element(a, b, "minus")
         assert np.max(np.abs(ga.act(g, a) - b)) < 1e-12
@@ -128,7 +135,7 @@ class TestTransitivity:
                 level = float(np.real(ps.hermitian(sign, a, a)))
                 if abs(level) < 0.1:
                     continue
-                g0 = ga.random_element(sign, rng)
+                g0 = random_element(sign, rng)
                 b = ga.act(g0, a)
                 g = ga.transitive_element(a, b, sign)
                 assert np.max(np.abs(ga.act(g, a) - b)) < 1e-12
@@ -146,7 +153,7 @@ class TestTransitivity:
 class TestAdjoint:
     def test_identity_fixes_vectors(self):
         v = np.array([0.3, -0.7, 1.1])
-        assert np.allclose(ga.adjoint("plus", ga.identity("plus"), v), v)
+        assert np.allclose(ga.adjoint("plus", IDENTITY, v), v)
 
     def test_quarter_phase_rotates_axes(self):
         g = ga.GroupElement(np.diag([np.exp(1j * np.pi / 4),
@@ -156,13 +163,13 @@ class TestAdjoint:
 
     def test_zero_vector_fixed(self):
         rng = np.random.default_rng(7)
-        g = ga.random_element("plus", rng)
+        g = random_element("plus", rng)
         assert np.allclose(ga.adjoint("plus", g, np.zeros(3)), np.zeros(3))
 
     def test_plus_preserves_euclidean_norm(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            g = ga.random_element("plus", rng)
+            g = random_element("plus", rng)
             v = rng.normal(size=3)
             w = ga.adjoint("plus", g, v)
             assert abs(w @ w - v @ v) < 1e-12
@@ -171,7 +178,7 @@ class TestAdjoint:
         rng = np.random.default_rng(9)
         quad = lambda v: v[0] ** 2 + v[1] ** 2 - v[2] ** 2
         for _ in range(200):
-            g = ga.random_element("minus", rng)
+            g = random_element("minus", rng)
             v = rng.normal(size=3)
             w = ga.adjoint("minus", g, v)
             assert abs(quad(w) - quad(v)) < 1e-12
@@ -180,13 +187,13 @@ class TestAdjoint:
 class TestEquivariance:
     def test_identity_element(self):
         a = cpoint(0.5 + 0.5j, -0.3)
-        assert ga.equivariance_defect("plus", ga.identity("plus"), a, [1.0, 2.0, 3.0]) == 0.0
+        assert ga.equivariance_defect("plus", IDENTITY, a, [1.0, 2.0, 3.0]) == 0.0
 
     @pytest.mark.parametrize("sign", ["plus", "minus"], ids=["plus-SU2", "minus-SU11"])
     def test_random_elements(self, sign):
         rng = np.random.default_rng(10)
         for _ in range(300):
-            g = ga.random_element(sign, rng)
+            g = random_element(sign, rng)
             a = rng.uniform(-1.5, 1.5, size=4)
             v = rng.normal(size=3)
             assert ga.equivariance_defect(sign, g, a, v) < 1e-12
@@ -194,11 +201,11 @@ class TestEquivariance:
 
 class TestSignArgument:
     @pytest.mark.parametrize("call", [
-        lambda s: ga.identity(s),
-        lambda s: ga.random_element(s, np.random.default_rng(0)),
+        lambda s: ga.lie_algebra_matrix(s, [0.0, 0.0, 1.0]),
+        lambda s: ga.draw_element(s, np.random.default_rng(0)),
         lambda s: ga.point_matrix(cpoint(1.0, 0.5), s),
         lambda s: ga.transitive_element(cpoint(1.0, 0.0), cpoint(0.0, 1.0), s),
-    ], ids=["identity", "random_element", "point_matrix", "transitive_element"])
+    ], ids=["lie_algebra_matrix", "draw_element", "point_matrix", "transitive_element"])
     @pytest.mark.parametrize("bad", ["SU2", "SU11", None])
     def test_unknown_sign_raises(self, call, bad):
         with pytest.raises(ValueError, match="sign must be"):

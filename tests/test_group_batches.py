@@ -75,8 +75,8 @@ class TestDraws:
         assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("sign", SIGNS)
-    def test_random_element_is_the_batch_of_one(self, sign):
-        g = ga.random_element(sign, np.random.default_rng(3))
+    def test_one_draw_is_the_batch_of_one(self, sign):
+        g = ga.element_from_draws(sign, ga.draw_element(sign, np.random.default_rng(3)))
         draws = loop_element_draws(sign, np.random.default_rng(3))
         assert g.matrix.shape == (2, 2)
         assert g.matrix.tolist() == ga.element_from_draws(sign, draws[None]).matrix[0].tolist()

@@ -79,6 +79,21 @@ class TestBracket:
         with pytest.raises(OffDomain):
             poisson3.bracket(s, FX, FY, [0.0, 0.0, 1.0])
 
+    def test_off_domain_messages_name_the_point_and_row(self):
+        s = poisson3.resonance_structure(Resonance(2, 1))
+        with pytest.raises(OffDomain) as single:
+            s.field_at([0.0, 0.0, 1.0])
+        assert str(single.value) == ("point (0.0, 0.0, 1.0) outside domain of structure "
+                                     "'2:1 resonance'")
+        with pytest.raises(OffDomain) as batch:
+            s.field_at([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        assert str(batch.value) == ("point (0.0, 0.0, 1.0) at row 1 outside domain of "
+                                    "structure '2:1 resonance'")
+        upper = PoissonStructure3(field=lambda p: p, domain=lambda p: p[..., 2] > 0.0,
+                                  label="{z > 0}")
+        with pytest.raises(OffDomain, match="structure '{z > 0}'$"):
+            upper.field_at([1.0, 2.0, -3.0])
+
 
 class TestHamiltonianVF:
     def test_vertical_field_with_x(self):
@@ -90,9 +105,10 @@ class TestHamiltonianVF:
         s = poisson3.resonance_structure(res)
         cas = ScalarField(lambda p: casimir.solve_casimir(res, p).value,
                            lambda p: casimir.solve_casimir(res, p).gradient, "C")
-        for p in leaf_points(res, 20, seed=2):
-            vf = poisson3.hamiltonian_vf(s, cas, p)
-            assert np.linalg.norm(vf) < 1e-9 * (1.0 + np.linalg.norm(s.field_at(p)))
+        p = leaf_points(res, 20, seed=2)
+        vf = poisson3.hamiltonian_vf(s, cas, p)
+        assert np.all(np.linalg.norm(vf, axis=-1)
+                      < 1e-9 * (1.0 + np.linalg.norm(s.field_at(p), axis=-1)))
 
     def test_constant_hamiltonian(self):
         const = ScalarField(lambda p: 4.2, lambda p: np.zeros(3))
@@ -173,8 +189,7 @@ class TestIntegrability:
     def test_resonance_structures(self, n, m, sign):
         res = Resonance(n, m, sign)
         s = poisson3.resonance_structure(res)
-        for p in leaf_points(res, 15, seed=6):
-            assert poisson3.integrability_defect(s, p) < 1e-8
+        assert np.all(poisson3.integrability_defect(s, leaf_points(res, 15, seed=6)) < 1e-8)
 
 
 class TestJacobi:
@@ -197,8 +212,38 @@ class TestJacobi:
     def test_resonance_structures(self, n, m, sign):
         res = Resonance(n, m, sign)
         s = poisson3.resonance_structure(res)
-        for p in leaf_points(res, 6, seed=8):
-            assert poisson3.jacobi_defect(s, FX, FY, FZ, p) < 1e-5
+        assert np.all(poisson3.jacobi_defect(s, FX, FY, FZ, leaf_points(res, 6, seed=8)) < 1e-5)
+
+
+class TestBatches:
+    # A batch evaluates the field once per stencil on all its points; every
+    # point keeps the bits of its own single-point call.
+    @pytest.mark.parametrize("res", [Resonance(n, m, sign) for sign in ("plus", "minus")
+                                     for n, m in ((1, 1), (2, 1), (3, 4), (4, 3))], ids=str)
+    def test_resonance_defects_match_per_point_calls(self, res):
+        s = poisson3.resonance_structure(res)
+        pts = leaf_points(res, 4, seed=21)
+        assert (poisson3.integrability_defect(s, pts).tolist()
+                == [poisson3.integrability_defect(s, p) for p in pts])
+        assert (poisson3.jacobi_defect(s, FX, FY, FZ, pts).tolist()
+                == [poisson3.jacobi_defect(s, FX, FY, FZ, p) for p in pts])
+
+    def test_twist_defects_match_per_point_calls(self):
+        s = PoissonStructure3(field=lambda p: p[..., [2, 0, 1]], label="twist")
+        pts = np.random.default_rng(22).uniform(0.5, 1.5, size=(20, 3))
+        integ = poisson3.integrability_defect(s, pts)
+        jac = poisson3.jacobi_defect(s, FX, FY, FZ, pts)
+        assert integ.tolist() == [poisson3.integrability_defect(s, p) for p in pts]
+        assert jac.tolist() == [poisson3.jacobi_defect(s, FX, FY, FZ, p) for p in pts]
+        assert np.all(integ > 1e-2) and np.all(jac > 1e-2)
+
+    def test_batch_jacobian_layout(self):
+        # Row i of each point's Jacobian holds the derivatives of component i.
+        a = np.array([[1.0, 2.0, -3.0], [0.5, -1.0, 4.0], [7.0, 0.25, 2.0]])
+        pts = np.random.default_rng(23).normal(size=(5, 3))
+        jac = poisson3.central_difference(lambda p: p @ a.T, pts, 1e-3)
+        assert jac.shape == (5, 3, 3)
+        assert np.allclose(jac, a, rtol=0.0, atol=1e-10)
 
 
 class TestBivector:
@@ -262,8 +307,8 @@ class TestResonanceStructure:
     def test_field_is_mn_times_leaf_field(self):
         res = Resonance(3, 2)
         s = poisson3.resonance_structure(res)
-        for p in leaf_points(res, 10, seed=13):
-            assert np.allclose(s.field_at(p), 6.0 * casimir.leaf_field(res, p))
+        p = leaf_points(res, 10, seed=13)
+        assert np.allclose(s.field_at(p), 6.0 * casimir.leaf_field(res, p))
 
     @pytest.mark.parametrize("n,m,sign", [(1, 1, "plus"), (2, 3, "plus"), (2, 1, "minus")])
     def test_casimir_property(self, n, m, sign):
@@ -271,15 +316,16 @@ class TestResonanceStructure:
         s = poisson3.resonance_structure(res)
         cas = ScalarField(lambda p: casimir.solve_casimir(res, p).value,
                            lambda p: casimir.solve_casimir(res, p).gradient, "C")
-        for p in leaf_points(res, 25, seed=14):
-            for coord in (FX, FY, FZ):
-                assert abs(poisson3.bracket(s, cas, coord, p)) < 1e-8
+        p = leaf_points(res, 25, seed=14)
+        for coord in (FX, FY, FZ):
+            assert np.all(np.abs(poisson3.bracket(s, cas, coord, p)) < 1e-8)
 
     def test_leaf_tangency(self):
         res = Resonance(2, 1)
         s = poisson3.resonance_structure(res)
         h = ScalarField(lambda p: p[2] + 0.3 * p[0], lambda p: np.array([0.3, 0.0, 1.0]))
-        for p in leaf_points(res, 20, seed=15):
-            vf = poisson3.hamiltonian_vf(s, h, p)
-            grad = casimir.solve_casimir(res, p).gradient
-            assert abs(vf @ grad) < 1e-9 * (1.0 + np.linalg.norm(vf) * np.linalg.norm(grad))
+        p = leaf_points(res, 20, seed=15)
+        vf = poisson3.hamiltonian_vf(s, h, p)
+        grad = casimir.solve_casimir(res, p).gradient
+        norms = np.linalg.norm(vf, axis=-1) * np.linalg.norm(grad, axis=-1)
+        assert np.all(np.abs(np.sum(vf * grad, axis=-1)) < 1e-9 * (1.0 + norms))

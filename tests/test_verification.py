@@ -3,8 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from resdp import casimir, dual_pair as dp, resonance_maps as rm, verification as vf
-from resdp.errors import EmptyFiber, OffDomain, ResdpError
+from resdp import casimir, dual_pair as dp, poisson3, resonance_maps as rm, verification as vf
+from resdp.errors import EmptyFiber, NoConvergence
 from resdp.resonance_maps import Resonance
 
 
@@ -104,28 +104,35 @@ class TestLeafPoints:
 
 
 class TestSampleLeafPoints:
-    def test_solver_errors_are_skipped(self, monkeypatch):
-        real = casimir.leaf_field
-        calls = {"n": 0}
+    def test_solver_errors_propagate(self, monkeypatch):
+        def failing(res, p):
+            raise NoConvergence("failed for the test")
 
-        def flaky(res, p):
-            calls["n"] += 1
-            if calls["n"] % 2:
-                raise OffDomain("rejected for the test")
-            return real(res, p)
-
-        monkeypatch.setattr(casimir, "leaf_field", flaky)
-        pts = vf.sample_leaf_points(Resonance(2, 1), 4, seed=3)
-        assert len(pts) == 4
+        monkeypatch.setattr(casimir, "solve_casimir", failing)
+        with pytest.raises(NoConvergence, match="failed for the test"):
+            vf.sample_leaf_points(Resonance(2, 1), 2, seed=3)
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(res, p):
             raise ZeroDivisionError("not a domain error")
 
-        monkeypatch.setattr(casimir, "leaf_field", broken)
+        monkeypatch.setattr(casimir, "solve_casimir", broken)
         with pytest.raises(ZeroDivisionError):
             vf.sample_leaf_points(Resonance(2, 1), 2, seed=3)
 
+    def test_one_solve_per_block(self, monkeypatch):
+        shapes = []
+        solve = casimir.solve_casimir
+
+        def counting(res, p):
+            shapes.append(np.shape(p))
+            return solve(res, p)
+
+        monkeypatch.setattr(casimir, "solve_casimir", counting)
+        pts = vf.sample_leaf_points(Resonance(3, 2), 12, seed=1)
+        assert pts.shape == (12, 3)
+        assert shapes[0] == (12, 3)
+        assert all(len(shape) == 2 for shape in shapes)
 
     @pytest.mark.parametrize("n,m,sign", [(2, 4, "minus"), (3, 4, "minus"),
                                           (1, 1, "minus"), (3, 2, "plus")])
@@ -140,9 +147,10 @@ class TestSampleLeafPoints:
         for sign in ("plus", "minus"):
             for n, m in ((1, 1), (2, 4), (4, 3)):
                 res = Resonance(n, m, sign)
-                for p in vf._leaf_points(res, 20, np.random.default_rng(n + m)):
-                    field = res.mn * casimir.leaf_field(res, p)
-                    assert np.linalg.norm(field) >= 2.0 * res.mn * np.hypot(p[0], p[1])
+                p = vf._leaf_points(res, 20, np.random.default_rng(n + m))
+                field = res.mn * casimir.leaf_field(res, p)
+                assert np.all(np.linalg.norm(field, axis=-1)
+                              >= 2.0 * res.mn * np.hypot(p[:, 0], p[:, 1]))
 
 
 ALL_CELLS = [Resonance(n, m, sign) for sign in ("plus", "minus")
@@ -178,24 +186,28 @@ class TestFiberFloor:
 
 
 def _reference_sample_leaf_points(res, count, seed):
-    """sample_leaf_points without its early rejection: both solves for every candidate."""
+    """sample_leaf_points without its early rejection.
+
+    Every candidate in the domain is solved, and its field comes from a
+    second solve through leaf_field.  Candidates are solved in blocks of
+    `count`, and the first `count` accepted points are kept.
+    """
     rng = np.random.default_rng(seed)
     base = float(res.n) ** res.m * float(res.m) ** res.n
-    pts = []
+    pts = np.empty((0, 3))
     while len(pts) < count:
-        c = (rng.uniform(0.02, 1.2) * base) ** (1.0 / (res.n + res.m))
-        p = rm.leaf_map(res, dp.fiber_sample(res, c, 1, seed=int(rng.integers(1 << 31)))[0])
-        if not casimir.in_leaf_domain(res, p):
-            continue
-        try:
-            ev = casimir.solve_casimir(res, p)
-            field = res.mn * casimir.leaf_field(res, p)
-        except ResdpError:
-            continue
-        if np.linalg.norm(field) > 8.0 or np.linalg.norm(ev.gradient) > 8.0:
-            continue
-        pts.append(p)
-    return np.array(pts)
+        block = []
+        while len(block) < count:
+            c = (rng.uniform(0.02, 1.2) * base) ** (1.0 / (res.n + res.m))
+            p = rm.leaf_map(res, dp.fiber_sample(res, c, 1, seed=int(rng.integers(1 << 31)))[0])
+            if casimir.in_leaf_domain(res, p):
+                block.append(p)
+        block = np.array(block)
+        ev = casimir.solve_casimir(res, block)
+        field = res.mn * casimir.leaf_field(res, block)
+        too_big = (poisson3.norm(field) > 8.0) | (poisson3.norm(ev.gradient) > 8.0)
+        pts = np.vstack([pts, block[~too_big]])
+    return pts[:count]
 
 
 class TestDualPairCheck:
