@@ -201,10 +201,11 @@ def leaf_and_stencil_points(res, seed):
 
 class TestArrayDriver:
     @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
-    def test_batch_equals_its_rows_solved_one_at_a_time(self, res):
-        # 12 rows a cell, 6 leaf points and 6 stencil points, each solved
-        # alone as a one-row batch, against the batch of all the points.
-        leaf, stencil = leaf_and_stencil_points(res, 1)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_equals_its_rows_solved_one_at_a_time(self, res, seed):
+        # 12 rows a cell and seed, 6 leaf points and 6 stencil points, each
+        # solved alone as a one-row batch, against the batch of all the points.
+        leaf, stencil = leaf_and_stencil_points(res, seed)
         pts = np.concatenate([leaf, stencil])
         batch = casimir.solve_casimir(res, pts)
         values, iterations = casimir._solve_rows(res, pts[:, 0] ** 2 + pts[:, 1] ** 2, pts[:, 2])
