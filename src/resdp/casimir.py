@@ -105,6 +105,23 @@ def _kummer_dz(res, c, z):
     return _eval(res.n, res.m, -res.m if res.sign == PLUS else res.m, 0.0, c, z)[1]
 
 
+def kummer_second_derivatives(res, k, c, z):
+    """(K_zz, K_zc) of the Kummer product K, given its value k at level c and height z.
+
+    With a = c + z and b = c - z, both families have K_z = K (m/a - n/b)
+    and K_c = K (m/a + n/b), so
+
+        K_zz = K (m(m-1)/a^2 - 2mn/(ab) + n(n-1)/b^2),
+        K_zc = K (m(m-1)/a^2 - n(n-1)/b^2).
+
+    Broadcasts over k, c and z.
+    """
+    a, b = c + z, c - z
+    ta = res.m * (res.m - 1) / (a * a)
+    tb = res.n * (res.n - 1) / (b * b)
+    return k * (ta - 2.0 * res.mn / (a * b) + tb), k * (ta - tb)
+
+
 def _newton_bisect_rows(n, m, sm, rho2, z, lo, hi):
     """Bracketed Newton with bisection fallback, on arrays of brackets.
 
@@ -137,8 +154,12 @@ def _newton_bisect_rows(n, m, sm, rho2, z, lo, hi):
     raise NoConvergence(f"no root to width tolerance after {_MAX_ITER} iterations")
 
 
-def _solve_plus_rows(n, m, rho2, z):
-    """Bounded family: bracket every root on (|z|, inf), then one Newton-bisection."""
+def _solve_plus_rows(n, m, rho2, z, shape):
+    """Bounded family: bracket every root on (|z|, inf), then one Newton-bisection.
+
+    shape is the caller's batch shape of the rows, which a pinched root's
+    error names: no row for a single point.
+    """
     az = np.abs(z)
     lo = az * (1.0 + 1e-12) + 1e-300
     # A root pinched between |z| and lo has its left endpoint tightened.  At
@@ -153,9 +174,11 @@ def _solve_plus_rows(n, m, rho2, z):
         lo[tight] = az[tight] + (lo[tight] - az[tight]) / 16.0
         tight = tight[~(_eval(n, m, m, rho2[tight], z[tight], lo[tight])[0] < 0.0)]
         hi[tight] = lo[tight]
-    if tight.size:
-        raise NoConvergence(f"row {tight[0]}: root pinched against |z| = {az[tight[0]]:.6g}, "
-                            "where the Kummer product overflows")
+    pinched = np.zeros(len(z), dtype=bool)
+    pinched[tight] = True
+    ps.raise_on_first(pinched.reshape(shape), NoConvergence,
+                      "root{row} pinched against |z| = {:.6g}, where the Kummer product "
+                      "overflows", az.reshape(shape))
     grow = np.flatnonzero(~pinched)
     for doublings in range(1, 302):
         grow = grow[_eval(n, m, m, rho2[grow], z[grow], hi[grow])[0] <= 0.0]
@@ -168,9 +191,11 @@ def _solve_plus_rows(n, m, rho2, z):
 
 
 def _solve_rows(res, rho2, z):
-    """Roots and iteration counts at the rows (rho2, z)."""
+    """Roots and iteration counts, one row per point, at points (rho2, z) of any batch shape."""
+    shape = np.shape(z)
+    rho2, z = np.ravel(rho2), np.ravel(z)
     if res.sign == PLUS:
-        return _solve_plus_rows(res.n, res.m, rho2, z)
+        return _solve_plus_rows(res.n, res.m, rho2, z, shape)
     return _newton_bisect_rows(res.n, res.m, -res.m, rho2, z, np.zeros_like(z), np.abs(z))
 
 
@@ -196,10 +221,9 @@ def solve_casimir(res, p):
     sm = res.m if res.sign == PLUS else -res.m
     with np.errstate(all="ignore"):
         # Overflow goes to inf and nan silently; the residual shows it.
-        value, iterations = _solve_rows(res, rho2, z)
+        value, iterations = _solve_rows(res, rho2.reshape(p.shape[:-1]), z.reshape(p.shape[:-1]))
         residual = np.abs(_eval(res.n, res.m, sm, rho2, z, value)[0])
-        scale = rho2 * (res.m / (value + z) + res.n / (value - z))
-        gradient = field_on_level(res, rows, value) / scale[:, None]
+        gradient = gradient_on_level(res, rows, value)
     if p.ndim == 1:
         return CasimirEval(value=float(value[0]), gradient=gradient[0],
                            iterations=int(iterations[0]), residual=float(residual[0]))
@@ -212,6 +236,17 @@ def field_on_level(res, p, c):
     x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
     rho2 = x * x + y * y
     return np.stack([2.0 * x, 2.0 * y, -rho2 * (res.m / (c + z) - res.n / (c - z))], axis=-1)
+
+
+def gradient_on_level(res, p, c):
+    """Casimir gradient at points p (..., 3) of the level set c, without a solve; broadcasts.
+
+    Differentiating x^2 + y^2 = K(C, z) gives grad C = leaf_field / K_c,
+    with K_c = (x^2 + y^2)(m/(c+z) + n/(c-z)) on the level set.
+    """
+    x, y, z = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    scale = (x * x + y * y) * (res.m / (c + z) + res.n / (c - z))
+    return field_on_level(res, p, c) / scale[..., None]
 
 
 def leaf_field(res, p):

@@ -4,6 +4,15 @@ Every check returns a VerificationReport whose details list one record per
 verified property.  Detail defects are compared against their own
 tolerances; the headline max_defect is the worst defect/tolerance ratio, so
 the report-level rule is always pass <=> max_defect <= tolerance (= 1.0).
+
+The integrability and jacobi checks are closed-form certificates: helicity
+and the jacobi cyclic sum come from the closed-form Jacobian of the
+resonance structure, and a field_jacobian_vs_fd detail cross-checks that
+Jacobian against the Richardson finite-difference one.  Their points come
+from sample_leaf_points, which draws on the Kummer shapes themselves, keeps
+the points a fiber draw's distance from the z axis (without that floor the
+finite-difference cross-check reads up to 1.8e-2 near the axis of 2:-4
+minus), and keeps every finite-difference stencil point in the domain.
 """
 
 from dataclasses import dataclass, field
@@ -44,6 +53,9 @@ class VerificationReport:
             "details": self.details,
         }
 
+
+# The (n, m, sign) cells that `verify all` and the acceptance suite certify.
+GRID = tuple((n, m, sign) for sign in (PLUS, MINUS) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4))
 
 # Fiber levels of the dual-pair and leaf-correspondence checks.
 _LEVELS = (0.5, 1.5, 3.0)
@@ -203,57 +215,93 @@ def _leaf_points(res, count, rng):
 
 
 def sample_leaf_points(res, count, seed):
-    """Leaf points from fiber levels, filtered to moderate field scale.
+    """`count` points on the Kummer shapes where the structure field is of desk scale.
 
-    The fiber level is scaled per cell (c ~ (n^m m^n)^(1/(n+m))) so the
-    shape radius stays of order one; fixed-step finite differences on the
-    structure field are only meaningful where the field and the Casimir
-    gradient are of desk scale (norm at most 8), so points violating that
-    (near poles, thin admissible bands of strongly asymmetric orders) are
-    rejected.  Candidates that pass the cheap filters are solved in blocks,
-    one Casimir solve per block, and the field is read from the block's
-    values; the accepted points keep their draw order.  A solver error
-    propagates.  Raises EmptyFiber when 300 * count draws yield fewer than
-    `count` points.
+    The candidates come from _shape_draws, with one generator
+    default_rng(seed) for the call, in blocks that double from 64 * count
+    rows up to _BLOCK_CAP.  A candidate at level c is kept (_accepted) when,
+    in closed form from c, |mn leaf_field| <= 8 and |grad C| <= 8, with
+    grad C = leaf_field / K_c; when x^2 + y^2 >= _fiber_rho2_floor(c), the
+    distance from the z axis that fiber draws at level c keep; and when the
+    point and every point of its poisson3.fd_stencil lie in the Casimir
+    domain.  No candidate is solved.  The first `count` kept points are
+    returned in draw order.  Raises EmptyFiber when _BLOCK_CAP * (count + 1)
+    draws keep fewer; the rarest cell, 2:-4 minus, keeps about 0.7% of its
+    draws.
     """
     _require_samples(count)
     rng = np.random.default_rng(seed)
-    base = float(res.n) ** res.m * float(res.m) ** res.n
-    # The field bound below, as a bound on x^2 + y^2 = |X - iY|^2, with room
-    # for the rounding of the fiber point and its leaf image.
-    rho2_limit = (4.0 / res.mn) ** 2 * (1.0 + 1e-9)
     s_max_1 = dual_pair.minus_fiber_s_max(res, 1.0) if res.sign == MINUS else None
-    pts = np.empty((0, 3))
-    attempts = 0
-    while len(pts) < count and attempts < 300 * count:
-        # Candidates that pass the cheap filters, as many as are missing.
-        block = []
-        while len(pts) + len(block) < count and attempts < 300 * count:
-            attempts += 1
-            c = (rng.uniform(0.02, 1.2) * base) ** (1.0 / (res.n + res.m))
-            fiber_seed = int(rng.integers(1 << 31))
-            if _fiber_rho2_floor(res, c, s_max_1) > rho2_limit:
-                continue
-            p = rm.leaf_map(res, dual_pair.fiber_sample(res, c, 1, seed=fiber_seed)[0])
-            # |mn leaf_field| >= 2 mn |(x, y)|: reject on that before any solve.
-            if 2.0 * res.mn * np.hypot(p[0], p[1]) > 8.0 * (1.0 + 1e-12):
-                continue
-            if casimir.in_leaf_domain(res, p):
-                block.append(p)
-        if not block:
-            continue
-        block = np.array(block)
-        ev = casimir.solve_casimir(res, block)
-        field = res.mn * casimir.field_on_level(res, block, ev.value)
-        pts = np.vstack([pts, block[~((poisson3.norm(field) > 8.0)
-                                      | (poisson3.norm(ev.gradient) > 8.0))]])
-    if len(pts) < count:
-        raise EmptyFiber(f"found {len(pts)}/{count} leaf points after {attempts} draws")
-    return pts
+    max_draws = _BLOCK_CAP * (count + 1)
+    blocks, found, drawn, size = [], 0, 0, 64 * count
+    while found < count:
+        if drawn >= max_draws:
+            raise EmptyFiber(f"found {found}/{count} leaf points after {drawn} draws")
+        size = min(size, _BLOCK_CAP, max_draws - drawn)
+        p, c = _shape_draws(res, size, rng)
+        drawn += size
+        size *= 2
+        blocks.append(p[_accepted(res, p, c, s_max_1)])
+        found += len(blocks[-1])
+    return np.concatenate(blocks)[:count]
+
+
+def _accepted(res, p, c, s_max_1):
+    """The filters of sample_leaf_points on candidates p (k, 3) at levels c (k,), as a mask."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A draw at z = +-c sits on the axis: its nan norms fail the bounds.
+        keep = ((p[:, 0] ** 2 + p[:, 1] ** 2 >= _fiber_rho2_floor(res, c, s_max_1))
+                & (poisson3.norm(res.mn * casimir.field_on_level(res, p, c)) <= 8.0)
+                & (poisson3.norm(casimir.gradient_on_level(res, p, c)) <= 8.0)
+                & casimir.in_leaf_domain(res, p))
+    keep[keep] = np.all(casimir.in_leaf_domain(res, poisson3.fd_stencil(p[keep])), axis=-1)
+    return keep
+
+
+# Largest block of candidates that sample_leaf_points draws at once.
+_BLOCK_CAP = 4096
+
+
+def _shape_draws(res, size, rng):
+    """`size` candidate points (size, 3) on the Kummer shapes, and their levels c (size,).
+
+    The level is scaled per cell, c = (u n^m m^n)^(1/(n+m)) with u uniform
+    in (0.02, 1.2), so the shape radius stays of order one.  The height z
+    is uniform in (-c, c) on plus cells, and in (c, z_max) on minus cells,
+    where K(c, z_max) = (4/mn)^2: above z_max, x^2 + y^2 = K(c, z) exceeds
+    (4/mn)^2, so |mn leaf_field| >= 2 mn |(x, y)| exceeds the field bound 8.
+    Then (x, y) = sqrt(K(c, z)) (cos t, sin t) with t uniform, so the
+    Casimir of the point is c.
+    """
+    base = float(res.n) ** res.m * float(res.m) ** res.n
+    c = (rng.uniform(0.02, 1.2, size=size) * base) ** (1.0 / (res.n + res.m))
+    if res.sign == PLUS:
+        z = rng.uniform(-c, c)
+    else:
+        z = rng.uniform(c, _minus_z_max(res, c, (4.0 / res.mn) ** 2))
+    t = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    r = np.sqrt(casimir.kummer_product(res, c, z))
+    return np.stack([r * np.cos(t), r * np.sin(t), z], axis=-1), c
+
+
+def _minus_z_max(res, c, target):
+    """Heights z > c with K(c, z) >= target, by 12 steps of bisection from above.
+
+    K(c, c + d) >= d^(n+m) / (n^m m^n), so d0 = (target n^m m^n)^(1/(n+m))
+    brackets the root z*; the result is within 2^-12 d0 above z*, which
+    widens the minus window of _shape_draws by as much.
+    """
+    base = float(res.n) ** res.m * float(res.m) ** res.n
+    lo, hi = c, c + (target * base) ** (1.0 / (res.n + res.m))
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        below = casimir.kummer_product(res, c, mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi
 
 
 def _fiber_rho2_floor(res, c, s_max_1):
-    """Lower bound of x^2 + y^2 over the leaf images of fiber_sample(res, c, ...).
+    """Lower bound of x^2 + y^2 over the leaf images of fiber_sample(res, c, ...); broadcasts.
 
     x^2 + y^2 = |a1|^(2m) |a2|^(2n).  Plus: the moduli are 2ct/n and
     2c(1 - t)/m with t in [0.05, 0.95); the log of the product is concave in
@@ -265,12 +313,10 @@ def _fiber_rho2_floor(res, c, s_max_1):
     """
     n, m = res.n, res.m
     if res.sign == PLUS:
-        return min((2.0 * c * t / n) ** m * (2.0 * c * (1.0 - t) / m) ** n
-                   for t in (0.05, 0.95))
-    s_lo = 0.1
+        return np.minimum(*((2.0 * c * t / n) ** m * (2.0 * c * (1.0 - t) / m) ** n
+                            for t in (0.05, 0.95)))
     s_max = c * s_max_1 * (1.0 - 1e-12)
-    if s_max <= s_lo:
-        s_lo = 0.02 * s_max
+    s_lo = np.where(s_max <= 0.1, 0.02 * s_max, 0.1)
     return ((2.0 * c + m * s_lo) / n) ** m * s_lo ** n
 
 
@@ -329,24 +375,36 @@ def check_leaf_correspondence(res, samples=300, seed=42, tol=None):
 
 
 def check_integrability(res, samples=50, seed=42, tol=None):
+    """Helicity v . curl v from the closed-form field Jacobian, cross-checked by FD."""
     _require_samples(samples)
     structure = poisson3.resonance_structure(res)
     pts = sample_leaf_points(res, samples, seed)
     worst = np.max(poisson3.integrability_defect(structure, pts))
-    details = [{"name": "helicity", "defect": float(worst),
-                "tolerance": _tol(tol, 1e-8)}]
+    details = [{"name": "helicity", "defect": float(worst), "tolerance": _tol(tol, 1e-8)},
+               _field_jacobian_vs_fd(structure, pts, tol)]
     return _assemble("integrability", res, len(pts), seed, details)
 
 
 def check_jacobi(res, samples=20, seed=42, tol=None):
+    """Cyclic sum of the coordinate brackets from the closed-form Jacobian, cross-checked by FD."""
     _require_samples(samples)
     structure = poisson3.resonance_structure(res)
     fx, fy, fz = poisson3.coordinate_fields()
     pts = sample_leaf_points(res, samples, seed)
     worst = np.max(poisson3.jacobi_defect(structure, fx, fy, fz, pts))
     details = [{"name": "jacobi_cyclic_sum", "defect": float(worst),
-                "tolerance": _tol(tol, 1e-5)}]
+                "tolerance": _tol(tol, 1e-5)},
+               _field_jacobian_vs_fd(structure, pts, tol)]
     return _assemble("jacobi", res, len(pts), seed, details)
+
+
+def _field_jacobian_vs_fd(structure, pts, tol):
+    """Detail: worst |J_fd - J| / |J| (Frobenius) of the Richardson FD against the closed form."""
+    jac = structure.jacobian_at(pts)
+    fd = poisson3.fd_jacobian(structure, pts)
+    worst = np.max(np.linalg.norm(fd - jac, axis=(-2, -1)) / np.linalg.norm(jac, axis=(-2, -1)))
+    return {"name": "field_jacobian_vs_fd", "defect": float(worst),
+            "tolerance": _tol(tol, 1e-6)}
 
 
 def _equivariance_draws(sign, samples, rng):
@@ -490,14 +548,8 @@ _ALL_SAMPLES = {
 
 
 def run_all(seed=42):
-    """Every check over the n, m <= 4 grid, both signs; sorted deterministically."""
-    reports = []
-    for name in sorted(CHECKS):
-        fn = CHECKS[name]
-        for n in (1, 2, 3, 4):
-            for m in (1, 2, 3, 4):
-                for sign in (PLUS, MINUS):
-                    res = Resonance(n, m, sign)
-                    reports.append(fn(res, samples=_ALL_SAMPLES[name], seed=seed))
+    """Every check over GRID; sorted deterministically."""
+    reports = [CHECKS[name](Resonance(*cell), samples=_ALL_SAMPLES[name], seed=seed)
+               for name in sorted(CHECKS) for cell in GRID]
     reports.sort(key=lambda r: (r.check, r.n, r.m, r.sign))
     return reports

@@ -5,6 +5,7 @@ failure); the grid is n, m in {1..4}, both signatures, unless a criterion
 names a smaller envelope.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -19,8 +20,7 @@ from resdp import shapes, verification as vf
 from resdp.poisson3 import coordinate_fields
 from resdp.resonance_maps import Resonance
 
-GRID = [(n, m, sign) for sign in ("plus", "minus")
-        for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
+GRID = vf.GRID
 
 FX, FY, FZ = coordinate_fields()
 
@@ -132,12 +132,18 @@ def test_3_poisson_suite():
               f"1000 pts/cell, tol 1e-7*scale ({time.perf_counter()-t0:.1f}s)"
               + (f" failures: {failed}" if failed else ""))
 
-    worst_integ, worst_jac, worst_rank = 0.0, 0.0, 2
+    # Finite-difference readings: the structure without its closed-form
+    # Jacobian, as a generic field would be checked.
+    worst_integ, worst_jac, worst_rank, worst_closed = 0.0, 0.0, 2, 0.0
     for n, m, sign in GRID:
         res = Resonance(n, m, sign)
-        structure = poisson3.resonance_structure(res)
+        closed = poisson3.resonance_structure(res)
+        structure = dataclasses.replace(closed, jacobian=None)
         pts = vf.sample_leaf_points(res, 12, seed=333)
         assert len(pts) >= 8, (res, len(pts))
+        worst_closed = max(worst_closed,
+                           float(np.max(poisson3.integrability_defect(closed, pts))),
+                           float(np.max(poisson3.jacobi_defect(closed, FX, FY, FZ, pts))))
         worst_integ = max(worst_integ, float(np.max(poisson3.integrability_defect(structure, pts))))
         for p in pts:
             rank = np.linalg.matrix_rank(poisson3.bivector_matrix(structure, p))
@@ -145,9 +151,9 @@ def test_3_poisson_suite():
         worst_jac = max(worst_jac,
                         float(np.max(poisson3.jacobi_defect(structure, FX, FY, FZ, pts[:5]))))
     criterion("3b integrability", worst_integ < 1e-8,
-              f"max |v.curl v| {worst_integ:.3e} (tol 1e-8)")
+              f"max finite-difference |v.curl v| {worst_integ:.3e} (tol 1e-8)")
     criterion("3c jacobi identity", worst_jac < 1e-5,
-              f"max cyclic sum {worst_jac:.3e} (tol 1e-5)")
+              f"max finite-difference cyclic sum {worst_jac:.3e} (tol 1e-5)")
     criterion("3d bivector rank", worst_rank == 2, f"rank {worst_rank} everywhere")
 
     twist = poisson3.PoissonStructure3(field=lambda p: np.array([p[2], p[0], p[1]]))
@@ -155,6 +161,8 @@ def test_3_poisson_suite():
     control_j = poisson3.jacobi_defect(twist, FX, FY, FZ, [1.0, 1.0, 1.0])
     criterion("3e negative control", control_i > 1e-2 and control_j > 1e-2,
               f"twist field defects {control_i:.3e}, {control_j:.3e} (> 1e-2)")
+    criterion("3f closed-form helicity and jacobi", worst_closed < 1e-8,
+              f"max {worst_closed:.3e} from the closed-form Jacobian (tol 1e-8)")
     print(f"  poisson suite {time.perf_counter()-t0:.1f}s")
 
 

@@ -49,7 +49,8 @@ class TestCasimirCommand:
         # The Kummer product overflows at |z| = 1e80, so no root can be bracketed.
         code = main(["casimir", "--n", "1", "--m", "4", "--point", "1e-10,0,1e80"])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == ("error: root pinched against |z| = 1e+80, where the "
+                                           "Kummer product overflows\n")
 
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "cas.json"

@@ -176,8 +176,9 @@ class TestIntegrability:
         a = np.array([[1.0, 2.0, -3.0], [0.5, -1.0, 4.0], [7.0, 0.25, 2.0]])
         jac = poisson3.central_difference(lambda p: a @ p, [0.3, -1.2, 0.8], 1e-3)
         assert np.allclose(jac, a, rtol=0.0, atol=1e-10)
-        curl = poisson3._fd_curl(PoissonStructure3(field=lambda p: a @ p), np.ones(3), 1e-3)
-        assert np.allclose(curl, [a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]],
+        fd = poisson3.fd_jacobian(PoissonStructure3(field=lambda p: a @ p), np.ones(3))
+        assert np.allclose(poisson3.curl(fd),
+                           [a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]],
                            rtol=0.0, atol=1e-10)
 
     def test_twist_control_value(self):
@@ -190,6 +191,58 @@ class TestIntegrability:
         res = Resonance(n, m, sign)
         s = poisson3.resonance_structure(res)
         assert np.all(poisson3.integrability_defect(s, leaf_points(res, 15, seed=6)) < 1e-8)
+
+
+class TestClosedFormJacobian:
+    # The twist field (z, x, y) with its constant Jacobian: helicity x + y + z.
+    TWIST_JAC = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def twist(self, with_jacobian):
+        jac = (lambda p: np.broadcast_to(self.TWIST_JAC, np.shape(p) + (3,))) \
+            if with_jacobian else None
+        return PoissonStructure3(field=lambda p: p[..., [2, 0, 1]], label="twist", jacobian=jac)
+
+    def test_helicity_from_the_jacobian(self):
+        pts = np.random.default_rng(24).uniform(0.5, 1.5, size=(10, 3))
+        got = poisson3.integrability_defect(self.twist(True), pts)
+        assert np.allclose(got, np.abs(pts.sum(axis=-1)), rtol=1e-15, atol=0.0)
+        fd = poisson3.integrability_defect(self.twist(False), pts)
+        assert np.allclose(got, fd, rtol=1e-9, atol=0.0)
+
+    def test_jacobi_sum_is_exact_for_nonlinear_functions(self):
+        # The second derivatives of F, G and H cancel in the cyclic sum, so
+        # J^T (grad F x grad G) as the outer gradient gives the Jacobiator,
+        # (v . curl v) det(grad F, grad G, grad H), for nonlinear F, G, H too.
+        f = ScalarField(lambda p: p[..., 0] * p[..., 1],
+                        lambda p: np.stack([p[..., 1], p[..., 0], 0.0 * p[..., 2]], axis=-1))
+        g = ScalarField(lambda p: p[..., 2] ** 2 + p[..., 0],
+                        lambda p: np.stack([1.0 + 0.0 * p[..., 0], 0.0 * p[..., 1],
+                                            2.0 * p[..., 2]], axis=-1))
+        h = ScalarField(lambda p: np.sin(p[..., 1]),
+                        lambda p: np.stack([0.0 * p[..., 0], np.cos(p[..., 1]),
+                                            0.0 * p[..., 2]], axis=-1))
+        pts = np.random.default_rng(25).uniform(0.5, 1.5, size=(10, 3))
+        got = poisson3.jacobi_defect(self.twist(True), f, g, h, pts)
+        det = np.linalg.det(np.stack([f.gradient(pts), g.gradient(pts), h.gradient(pts)], -2))
+        assert np.allclose(got, np.abs(pts.sum(axis=-1) * det), rtol=1e-13, atol=1e-15)
+        fd = poisson3.jacobi_defect(self.twist(False), f, g, h, pts)
+        assert np.allclose(got, fd, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("res", [Resonance(n, m, sign) for sign in ("plus", "minus")
+                                     for n, m in ((1, 1), (2, 1), (1, 4), (4, 3))], ids=str)
+    def test_resonance_jacobian_row_layout(self, res):
+        # Rows 0 and 1 are 2 mn e_x and 2 mn e_y; row 2 is the gradient of v3.
+        s = poisson3.resonance_structure(res)
+        pts = leaf_points(res, 5, seed=26)
+        jac = s.jacobian_at(pts)
+        assert np.array_equal(jac[:, :2], np.broadcast_to(2.0 * res.mn * np.eye(3)[:2], (5, 2, 3)))
+        fd = poisson3.fd_jacobian(s, pts)
+        assert np.all(poisson3.norm(fd[:, 2] - jac[:, 2]) <= 1e-6 * poisson3.norm(jac[:, 2]))
+
+    def test_jacobian_off_domain_raises(self):
+        with pytest.raises(OffDomain, match="at row 1"):
+            poisson3.resonance_structure(Resonance(2, 1)).jacobian_at([[1.0, 0.0, 0.5],
+                                                                       [0.0, 0.0, 1.0]])
 
 
 class TestJacobi:

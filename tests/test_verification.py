@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resdp import casimir, dual_pair as dp, poisson3, resonance_maps as rm, verification as vf
-from resdp.errors import EmptyFiber, NoConvergence
+from resdp.errors import EmptyFiber
 from resdp.resonance_maps import Resonance
 
 
@@ -20,14 +20,6 @@ class TestPushforwardPoints:
         monkeypatch.setattr(dp, "fiber_sample", lambda res, c, count, seed: near_axis)
         with pytest.raises(EmptyFiber, match="found 0/2"):
             vf._pushforward_points(Resonance(2, 1), 2, seed=1)
-
-    def test_leaf_point_shortfall_raises_with_count(self, monkeypatch):
-        # Same near-axis fiber point: its leaf image sits on the z axis, so
-        # every draw is rejected and the sampler must not return short.
-        near_axis = np.array([[1.7, 0.0, 0.0, 0.0]])
-        monkeypatch.setattr(dp, "fiber_sample", lambda res, c, count, seed: near_axis)
-        with pytest.raises(EmptyFiber, match="found 0/2"):
-            vf.sample_leaf_points(Resonance(2, 1), 2, seed=1)
 
     # Below one sample a check would certify nothing and still report a pass.
     @pytest.mark.parametrize("check", list(vf.CHECKS.values()))
@@ -103,69 +95,70 @@ class TestLeafPoints:
         assert points["gradient_vs_fd"] == 100
 
 
+ALL_CELLS = [Resonance(*cell) for cell in vf.GRID]
+
+
 class TestSampleLeafPoints:
-    def test_solver_errors_propagate(self, monkeypatch):
-        def failing(res, p):
-            raise NoConvergence("failed for the test")
-
-        monkeypatch.setattr(casimir, "solve_casimir", failing)
-        with pytest.raises(NoConvergence, match="failed for the test"):
-            vf.sample_leaf_points(Resonance(2, 1), 2, seed=3)
-
-    def test_other_errors_propagate(self, monkeypatch):
-        def broken(res, p):
-            raise ZeroDivisionError("not a domain error")
-
-        monkeypatch.setattr(casimir, "solve_casimir", broken)
-        with pytest.raises(ZeroDivisionError):
-            vf.sample_leaf_points(Resonance(2, 1), 2, seed=3)
-
-    def test_one_solve_per_block(self, monkeypatch):
-        shapes = []
-        solve = casimir.solve_casimir
-
-        def counting(res, p):
-            shapes.append(np.shape(p))
-            return solve(res, p)
-
-        monkeypatch.setattr(casimir, "solve_casimir", counting)
-        pts = vf.sample_leaf_points(Resonance(3, 2), 12, seed=1)
+    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
+    def test_count_seed_and_filters(self, res):
+        pts = vf.sample_leaf_points(res, 12, seed=1)
         assert pts.shape == (12, 3)
-        assert shapes[0] == (12, 3)
-        assert all(len(shape) == 2 for shape in shapes)
+        assert np.array_equal(vf.sample_leaf_points(res, 12, seed=1), pts)
+        assert not np.array_equal(vf.sample_leaf_points(res, 12, seed=2), pts)
+        assert np.all(casimir.in_leaf_domain(res, pts))
+        assert np.all(casimir.in_leaf_domain(res, poisson3.fd_stencil(pts)))
+        ev = casimir.solve_casimir(res, pts)
+        s_max_1 = dp.minus_fiber_s_max(res, 1.0) if res.sign == "minus" else None
+        floor = vf._fiber_rho2_floor(res, ev.value, s_max_1)
+        assert np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 >= floor * (1.0 - 1e-12))
+        field = res.mn * casimir.leaf_field(res, pts)
+        assert np.all(poisson3.norm(field) <= 8.0 * (1.0 + 1e-12))
+        assert np.all(poisson3.norm(ev.gradient) <= 8.0 * (1.0 + 1e-12))
 
-    @pytest.mark.parametrize("n,m,sign", [(2, 4, "minus"), (3, 4, "minus"),
-                                          (1, 1, "minus"), (3, 2, "plus")])
-    @pytest.mark.parametrize("seed", [1, 42])
-    def test_early_rejection_keeps_the_accepted_points(self, n, m, sign, seed):
-        res = Resonance(n, m, sign)
-        want = _reference_sample_leaf_points(res, 12, seed)
-        assert np.array_equal(vf.sample_leaf_points(res, 12, seed), want)
+    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
+    def test_closed_form_field_and_gradient_match_the_solver(self, res):
+        # A draw's Casimir is its level c by construction, so the filters read
+        # the field and grad C at c without a solve.
+        p, c = vf._shape_draws(res, 4096, np.random.default_rng(3))
+        s_max_1 = dp.minus_fiber_s_max(res, 1.0) if res.sign == "minus" else None
+        keep = vf._accepted(res, p, c, s_max_1)
+        assert keep.sum() >= 10
+        p, c = p[keep], c[keep]
+        ev = casimir.solve_casimir(res, p)
+        assert np.all(np.abs(ev.value - c) <= 1e-12 * c)
+        for got, want in ((casimir.field_on_level(res, p, c), casimir.leaf_field(res, p)),
+                          (casimir.gradient_on_level(res, p, c), ev.gradient)):
+            assert np.all(poisson3.norm(got - want) <= 1e-12 * poisson3.norm(want))
 
-    def test_field_bound_behind_the_early_rejection(self):
-        # |mn leaf_field| >= 2 mn |(x, y)|, from the (x, y) part of the field.
-        for sign in ("plus", "minus"):
-            for n, m in ((1, 1), (2, 4), (4, 3)):
-                res = Resonance(n, m, sign)
-                p = vf._leaf_points(res, 20, np.random.default_rng(n + m))
-                field = res.mn * casimir.leaf_field(res, p)
-                assert np.all(np.linalg.norm(field, axis=-1)
-                              >= 2.0 * res.mn * np.hypot(p[:, 0], p[:, 1]))
+    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
+    def test_structure_jacobian_matches_richardson_fd(self, res):
+        s = poisson3.resonance_structure(res)
+        pts = vf.sample_leaf_points(res, 12, seed=4)
+        jac = s.jacobian_at(pts)
+        fd = poisson3.fd_jacobian(s, pts)
+        rel = np.linalg.norm(fd - jac, axis=(-2, -1)) / np.linalg.norm(jac, axis=(-2, -1))
+        assert np.all(rel <= 1e-6)
+        assert s.jacobian_at(pts[3]).tolist() == jac[3].tolist()
 
+    def test_draw_cap_raises(self, monkeypatch):
+        # With every candidate off the domain, the sampler draws blocks that
+        # double from 64 * count rows up to 4096, stops at 4096 * (count + 1)
+        # draws and raises instead of returning short.
+        sizes = []
+        draws = vf._shape_draws
 
-ALL_CELLS = [Resonance(n, m, sign) for sign in ("plus", "minus")
-             for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
+        def recording(res, size, rng):
+            sizes.append(size)
+            return draws(res, size, rng)
+
+        monkeypatch.setattr(vf, "_shape_draws", recording)
+        monkeypatch.setattr(casimir, "in_leaf_domain", lambda res, p: np.zeros(p.shape[:-1], bool))
+        with pytest.raises(EmptyFiber, match="found 0/12 leaf points after 53248 draws"):
+            vf.sample_leaf_points(Resonance(2, 1), 12, seed=1)
+        assert sizes == [768, 1536, 3072] + [4096] * 11 + [2816]
 
 
 class TestFiberFloor:
-    # The floor skips a candidate's fiber draw only where every point the
-    # draw could return fails the field bound, so no accepted point changes.
-    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
-    def test_floor_keeps_the_accepted_points(self, res):
-        for seed, count in ((1, 12), (42, 6)):
-            want = _reference_sample_leaf_points(res, count, seed)
-            assert np.array_equal(vf.sample_leaf_points(res, count, seed), want)
-
     @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
     def test_floor_bounds_every_fiber_point(self, res):
         s_max_1 = dp.minus_fiber_s_max(res, 1.0) if res.sign == "minus" else None
@@ -185,29 +178,28 @@ class TestFiberFloor:
             assert abs(dp.minus_fiber_s_max(res, c) - c * s_max_1) <= 1e-14 * c * s_max_1
 
 
-def _reference_sample_leaf_points(res, count, seed):
-    """sample_leaf_points without its early rejection.
+class TestIntegrabilityAndJacobi:
+    # The finite-difference readings of the former checks failed at these
+    # seeds: integrability 1:-4 minus at 1.10 and 1.70 times tolerance (116,
+    # 132), and EmptyFiber on 2:-4 minus (70, 128).
+    @pytest.mark.parametrize("seed", [116, 132])
+    def test_integrability_one_minus_four(self, seed):
+        report = vf.check_integrability(Resonance(1, 4, "minus"), samples=12, seed=seed)
+        assert report.passed and report.samples == 12
 
-    Every candidate in the domain is solved, and its field comes from a
-    second solve through leaf_field.  Candidates are solved in blocks of
-    `count`, and the first `count` accepted points are kept.
-    """
-    rng = np.random.default_rng(seed)
-    base = float(res.n) ** res.m * float(res.m) ** res.n
-    pts = np.empty((0, 3))
-    while len(pts) < count:
-        block = []
-        while len(block) < count:
-            c = (rng.uniform(0.02, 1.2) * base) ** (1.0 / (res.n + res.m))
-            p = rm.leaf_map(res, dp.fiber_sample(res, c, 1, seed=int(rng.integers(1 << 31)))[0])
-            if casimir.in_leaf_domain(res, p):
-                block.append(p)
-        block = np.array(block)
-        ev = casimir.solve_casimir(res, block)
-        field = res.mn * casimir.leaf_field(res, block)
-        too_big = (poisson3.norm(field) > 8.0) | (poisson3.norm(ev.gradient) > 8.0)
-        pts = np.vstack([pts, block[~too_big]])
-    return pts[:count]
+    @pytest.mark.parametrize("check,samples", [("integrability", 12), ("jacobi", 6)])
+    @pytest.mark.parametrize("seed", [70, 128])
+    def test_two_minus_four(self, check, samples, seed):
+        report = vf.CHECKS[check](Resonance(2, 4, "minus"), samples=samples, seed=seed)
+        assert report.passed and report.samples == samples
+
+    @pytest.mark.parametrize("check", ["integrability", "jacobi"])
+    def test_closed_form_details(self, check):
+        report = vf.CHECKS[check](Resonance(3, 4, "minus"), samples=12, seed=5)
+        defects = {d["name"]: d["defect"] for d in report.details}
+        assert set(defects) == {"helicity" if check == "integrability" else "jacobi_cyclic_sum",
+                                "field_jacobian_vs_fd"}
+        assert max(defects.values()) <= 1e-8
 
 
 class TestDualPairCheck:

@@ -15,6 +15,7 @@ kernels, so on other hardware this test can fail while every report still
 passes.
 """
 
+import itertools
 import json
 import re
 from pathlib import Path
@@ -39,17 +40,23 @@ def detail_moves(old, new):
     """(check, cell, detail, old defect, new defect, move / tolerance) of every moved detail.
 
     old and new are parsed `verify all --json` documents over the same reports
-    and details in the same order; a ValueError says where they part.
+    and details in the same order; a ValueError says where they part.  A
+    detail that only one document has at the end of a report is a move from
+    or to None, with the fraction of its tolerance that it reads.
     """
     moves = []
     for r_old, r_new in zip(old["details"], new["details"], strict=True):
         cell = f"{r_old['n']}:{'-' if r_old['sign'] == 'minus' else ''}{r_old['m']}"
-        for d_old, d_new in zip(r_old["details"], r_new["details"], strict=True):
-            keys = [(r["check"], r["n"], r["m"], r["sign"], d["name"])
+        for d_old, d_new in itertools.zip_longest(r_old["details"], r_new["details"]):
+            keys = [None if d is None else (r["check"], r["n"], r["m"], r["sign"], d["name"])
                     for r, d in ((r_old, d_old), (r_new, d_new))]
-            if keys[0] != keys[1]:
+            if None in keys:
+                d = d_old or d_new
+                moves.append((r_old["check"], cell, d["name"], d_old and d["defect"],
+                              d_new and d["defect"], d["defect"] / d["tolerance"]))
+            elif keys[0] != keys[1]:
                 raise ValueError(f"documents part at {keys[0]} vs {keys[1]}")
-            if d_old["defect"] != d_new["defect"]:
+            elif d_old["defect"] != d_new["defect"]:
                 moves.append((r_old["check"], cell, d_old["name"], d_old["defect"],
                                d_new["defect"],
                                (d_new["defect"] - d_old["defect"]) / d_old["tolerance"]))
@@ -58,13 +65,16 @@ def detail_moves(old, new):
 
 def format_moves(moves):
     """One line per move, then the largest |move| of each (check, detail)."""
-    lines = [f"{check} {cell} {name}: {old:.6e} -> {new:.6e} ({frac:+.3e} of tol)"
+    def fmt(defect):
+        return "None" if defect is None else f"{defect:.6e}"
+
+    lines = [f"{check} {cell} {name}: {fmt(old)} -> {fmt(new)} ({frac:+.3e} of tol)"
              for check, cell, name, old, new, frac in moves]
     largest = {}
     for check, cell, name, old, new, frac in moves:
         if abs(frac) > abs(largest.get((check, name), (0.0,))[0]):
             largest[check, name] = (frac, cell, old, new)
-    lines += [f"largest {check} {name}: {frac:+.3e} of tol at {cell} ({old:.6e} -> {new:.6e})"
+    lines += [f"largest {check} {name}: {frac:+.3e} of tol at {cell} ({fmt(old)} -> {fmt(new)})"
               for (check, name), (frac, cell, old, new) in sorted(largest.items())]
     return "\n".join(lines)
 
@@ -92,6 +102,12 @@ def test_detail_moves_on_hand_written_documents():
     renamed["details"][0]["details"][0]["name"] = "other"
     with pytest.raises(ValueError, match="roundtrip"):
         detail_moves(doc(1e-15, 2e-15), renamed)
+    added = detail_moves(doc(1e-15), doc(1e-15, 5e-15))
+    assert added == [("transitivity", "2:-1", "group_constraints", None, 5e-15, 5e-3)]
+    assert format_moves(added).splitlines()[0] == (
+        "transitivity 2:-1 group_constraints: None -> 5.000000e-15 (+5.000e-03 of tol)")
+    assert detail_moves(doc(1e-15, 5e-15), doc(1e-15)) == [
+        ("transitivity", "2:-1", "group_constraints", 5e-15, None, 5e-3)]
 
 
 def test_verify_all_seed_42_is_byte_identical(tmp_path, capsys):
