@@ -202,8 +202,8 @@ def _solve_rows(res, rho2, z):
 def solve_casimir(res, p):
     """Casimir value, gradient, and diagnostics at a leaf point or a batch of them.
 
-    A batch (shape (k, 3)) returns value and residual of shape (k,), the
-    gradient (k, 3), and its iterations summed over the rows.  A single
+    A batch (shape (..., 3)) returns value and residual of shape (...,), the
+    gradient (..., 3), and its iterations summed over the rows.  A single
     point (shape (3,)) is a one-row batch: it returns a float value and
     residual, a (3,) gradient and an int iteration count, and costs about
     0.25-0.36 ms against under 0.5 us a row in a batch of 10^4, so callers
@@ -227,8 +227,8 @@ def solve_casimir(res, p):
     if p.ndim == 1:
         return CasimirEval(value=float(value[0]), gradient=gradient[0],
                            iterations=int(iterations[0]), residual=float(residual[0]))
-    return CasimirEval(value=value, gradient=gradient,
-                       iterations=int(iterations.sum()), residual=residual)
+    return CasimirEval(value=value.reshape(p.shape[:-1]), gradient=gradient.reshape(p.shape),
+                       iterations=int(iterations.sum()), residual=residual.reshape(p.shape[:-1]))
 
 
 def field_on_level(res, p, c):
@@ -254,6 +254,6 @@ def leaf_field(res, p):
 
     Equals the spatial gradient of the defining polynomial on the level set,
     so it is collinear with the Casimir gradient.  Takes a point (3,) or a
-    batch (k, 3), solved in one call.
+    batch (..., 3), solved in one call.
     """
     return field_on_level(res, p, solve_casimir(res, p).value)

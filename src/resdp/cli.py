@@ -120,9 +120,11 @@ def _cmd_flow(args):
         raise BadParams(f"{exc}, got --dt {args.dt} and --T {args.T}") from None
     if args.level == "upstairs":
         a0 = _parse_floats(args.a0, 4, "--a0")
-        fields = {"R": dynamics.field_R, "X": dynamics.field_X,
-                  "Y": dynamics.field_Y, "Z": dynamics.field_Z}
-        ham = fields[args.hamiltonian](res)
+        if args.hamiltonian == "R":
+            ham = dynamics.field_R(res)
+        else:
+            coeff = {"X": "alpha", "Y": "beta", "Z": "gamma"}[args.hamiltonian]
+            ham = dynamics.pullback(res, dynamics.DownstairsHamiltonian(**{coeff: 1.0}))
         traj = dynamics.flow_upstairs(res.sign, ham, a0, args.dt, args.T)
         _write_trajectory_csv(args.out, traj, ["x1", "y1", "x2", "y2"])
     else:

@@ -43,24 +43,7 @@ class Trajectory:
 
 def field_R(res):
     return ScalarField(lambda a: float(rm.circle_momentum(res, a)),
-                       lambda a: rm.circle_momentum_gradient(res, a), "R")
-
-
-def _leaf_component(res, idx, name):
-    return ScalarField(lambda a: float(rm.leaf_map(res, a)[idx]),
-                       lambda a: rm.leaf_map_jacobian(res, a)[idx], name)
-
-
-def field_X(res):
-    return _leaf_component(res, 0, "X")
-
-
-def field_Y(res):
-    return _leaf_component(res, 1, "Y")
-
-
-def field_Z(res):
-    return _leaf_component(res, 2, "Z")
+                       lambda a: rm.circle_momentum_gradient(res, a))
 
 
 @dataclass(frozen=True)
@@ -101,7 +84,7 @@ def pullback(res, ham):
                 alpha * pb.real - beta * pb.imag + gz2 * x2,
                 alpha * pb.imag + beta * pb.real + gz2 * y2)
 
-    return ScalarField(lambda a: ham.value(rm.leaf_map(res, a)), grad, "pullback")
+    return ScalarField(lambda a: ham.value(rm.leaf_map(res, a)), grad)
 
 
 def circle_flow(res, a, t):

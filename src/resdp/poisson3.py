@@ -20,8 +20,9 @@ cross-checks a closed form.
 
 field_at, bracket, hamiltonian_vf, integrability_defect and jacobi_defect
 take a point (3,) or a batch (k, 3); a single point is the () case of the
-same code.  On a batch the field and the gradients must take batches, and
-every point keeps the bits of its single-point call.
+same code.  Fields, gradients and the function of central_difference take
+batches: the finite differences evaluate every stencil point of every
+point in one call.  Every point keeps the bits of its single-point call.
 """
 
 from dataclasses import dataclass, field
@@ -51,57 +52,42 @@ def norm(u):
 def central_difference(fn, p, h):
     """Central differences (fn(p + h e_i) - fn(p - h e_i)) / (2h) along every axis.
 
-    At one point p, a scalar fn gives the gradient and a vector-valued fn the
-    Jacobian, whose column i is the difference along axis i.  At a batch of
-    points p (k, d) with steps h (k,) or one step for all, fn is called
-    once, on all 2 d k stencil points, and must take batches; the result is
-    (k, d) for a scalar fn and the (k, r, d) Jacobians for an r-vector fn.
+    At points p (..., d) with steps h that broadcast over the leading axes,
+    fn is called once, on the 2 d stencil points of every point as one
+    batch (k, d), and must take batches.  The result is the gradients
+    (..., d) for a scalar fn and the Jacobians (..., r, d), column i the
+    difference along axis i, for an r-vector fn.
     """
     p = np.asarray(p, dtype=float)
-    d = p.shape[-1]
-    if p.ndim > 1:
-        h = np.broadcast_to(np.asarray(h, dtype=float), p.shape[:1])
-        step = np.eye(d) * h[:, None, None]
-        vals = fn((p[:, None, :] + np.stack([step, -step])).reshape(-1, d))
-        vals = vals.reshape((2, -1, d) + vals.shape[1:])
-        diff = (vals[0] - vals[1]) / (2.0 * h).reshape((-1,) + (1,) * (vals.ndim - 2))
-        return np.moveaxis(diff, 1, -1)
-    cols = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        cols.append((fn(p + e) - fn(p - e)) / (2.0 * h))
-    return np.array(cols).T
+    lead, d = p.shape[:-1], p.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), lead).reshape(-1)
+    step = np.eye(d) * h[:, None, None]
+    vals = fn((p.reshape(-1, 1, d) + np.stack([step, -step])).reshape(-1, d))
+    vals = vals.reshape((2, -1, d) + vals.shape[1:])
+    diff = (vals[0] - vals[1]) / (2.0 * h).reshape((-1,) + (1,) * (vals.ndim - 2))
+    return np.moveaxis(diff, 1, -1).reshape(lead + vals.shape[3:] + (d,))
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar function on R^d with an optional analytic gradient.
-
-    Without one, the gradient is a central difference with step
-    1e-6 * (1 + |p|).
-    """
+    """A scalar function on R^d with its gradient."""
 
     fn: Callable
-    grad: Optional[Callable] = None
-    name: str = ""
+    grad: Callable
 
     def __call__(self, p):
         return float(self.fn(np.asarray(p, dtype=float)))
 
     def gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(p), dtype=float)
-        return central_difference(self.fn, p, 1e-6 * (1.0 + norm(p)))
+        return np.asarray(self.grad(np.asarray(p, dtype=float)), dtype=float)
 
 
 def coordinate_fields():
     """The three coordinate functions with exact gradients."""
     return (
-        ScalarField(lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]), "x"),
-        ScalarField(lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0]), "y"),
-        ScalarField(lambda p: p[2], lambda p: np.array([0.0, 0.0, 1.0]), "z"),
+        ScalarField(lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0])),
+        ScalarField(lambda p: p[1], lambda p: np.array([0.0, 1.0, 0.0])),
+        ScalarField(lambda p: p[2], lambda p: np.array([0.0, 0.0, 1.0])),
     )
 
 
@@ -155,38 +141,30 @@ def hamiltonian_vf(structure, h, p):
     return np.cross(v, h.gradient(p))
 
 
-def _fd_steps(p):
-    """The two steps h and h/2, h = 1e-5 (1 + |p|), of the Richardson FD Jacobian."""
-    h = 1e-5 * (1.0 + norm(p))
-    return h, 0.5 * h
-
-
 def fd_stencil(p):
-    """The 12 points p +- h e_i, p +- (h/2) e_i where fd_jacobian reads the field, (..., 12, 3)."""
+    """The 12 points p +- h e_i, p +- (h/2) e_i, h = 1e-5 (1 + |p|), of fd_jacobian; (..., 12, 3).
+
+    Blocks of three: the steps +h, -h, +h/2 and -h/2 along the axes in order.
+    """
     p = np.asarray(p, dtype=float)
     offsets = np.concatenate([np.eye(3), -np.eye(3), 0.5 * np.eye(3), -0.5 * np.eye(3)])
-    return p[..., None, :] + np.asarray(_fd_steps(p)[0])[..., None, None] * offsets
+    return p[..., None, :] + np.asarray(1e-5 * (1.0 + norm(p)))[..., None, None] * offsets
 
 
 def fd_jacobian(structure, p):
     """Richardson-extrapolated central-difference Jacobian of the field, (..., 3, 3).
 
-    Central differences at steps h and h/2 (h = 1e-5 (1 + |p|)) combine as
+    The field runs once, on all the points of fd_stencil(p), which must lie
+    in the domain.  Central differences at its steps h and h/2 combine as
     (4 fine - coarse) / 3 to cancel the leading truncation term, which
-    matters for fields with nearby poles.  On a batch (k, 3) the field runs
-    once, on all the stencil points (fd_stencil), which must lie in the
-    domain.
+    matters for fields with nearby poles.
     """
     p = np.asarray(p, dtype=float)
-    h, half = _fd_steps(p)
-    if p.ndim > 1:
-        # Both steps in one call of the field.
-        both = central_difference(structure.field_at, np.concatenate([p, p]),
-                                  np.concatenate([h, half]))
-        coarse, fine = np.split(both, 2)
-    else:
-        coarse, fine = (central_difference(structure.field_at, p, step) for step in (h, half))
-    return (4.0 * fine - coarse) / 3.0
+    h = np.asarray(1e-5 * (1.0 + norm(p)))[..., None, None]
+    vals = structure.field_at(fd_stencil(p))
+    coarse = (vals[..., 0:3, :] - vals[..., 3:6, :]) / (2.0 * h)
+    fine = (vals[..., 6:9, :] - vals[..., 9:12, :]) / (2.0 * (0.5 * h))
+    return np.swapaxes((4.0 * fine - coarse) / 3.0, -1, -2)
 
 
 def curl(jac):

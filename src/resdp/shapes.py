@@ -48,11 +48,31 @@ def has_lower_sheet(res):
     return (res.n + res.m) % 2 == 0
 
 
-def _check_geometry_params(c, samples):
+def _pole_insets(res, c, delta):
+    """Insets (g_top, g_bot) of the bounded curve's ends from the poles z = c and z = -c.
+
+    The curve has a cusp of order max(n, m)/2 at each pole, so each inset is
+    widened from c delta until the end radius clears the axis margin.
+    """
+    tau = 10.0 * AXIS_MARGIN * (1.0 + c)
+    g_top = max(c * delta, res.m * (tau * tau * (res.n / (2.0 * c)) ** res.m) ** (1.0 / res.n))
+    g_bot = max(c * delta, res.n * (tau * tau * (res.m / (2.0 * c)) ** res.n) ** (1.0 / res.m))
+    return g_top, g_bot
+
+
+def _check_geometry_params(res, c, samples, delta, z_max):
+    for name, value in (("c", c), ("delta", delta), ("z_max", z_max)):
+        if value is not None and not np.isfinite(value):
+            raise BadParams(f"need a finite {name}, got {value}")
     if c <= 0.0:
         raise BadParams(f"need c > 0, got {c}")
+    if delta < 0.0:
+        raise BadParams(f"need delta >= 0, got {delta}")
     if samples < 2:
         raise BadParams(f"need at least 2 samples, got {samples}")
+    if res.sign == PLUS and sum(_pole_insets(res, c, delta)) >= 2.0 * c:
+        raise BadParams(f"the pole insets of {res.n}:{res.m} at c = {c} and delta = {delta} "
+                        f"leave no curve between the poles")
 
 
 def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
@@ -61,15 +81,9 @@ def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
     Returns a list of Polylines: one for the bounded family, one or two
     (upper sheet, then lower sheet when present) for the unbounded family.
     """
-    _check_geometry_params(c, samples)
+    _check_geometry_params(res, c, samples, delta, z_max)
     if res.sign == PLUS:
-        # The curve has a cusp of order max(n, m)/2 at each pole, so the
-        # inset is widened until the end radius clears the axis margin.
-        tau = 10.0 * AXIS_MARGIN * (1.0 + c)
-        g_top = max(c * delta,
-                    res.m * (tau * tau * (res.n / (2.0 * c)) ** res.m) ** (1.0 / res.n))
-        g_bot = max(c * delta,
-                    res.n * (tau * tau * (res.m / (2.0 * c)) ** res.n) ** (1.0 / res.m))
+        g_top, g_bot = _pole_insets(res, c, delta)
         mid = 0.5 * ((c - g_top) + (-c + g_bot))
         half = 0.5 * ((c - g_top) - (-c + g_bot))
         z = mid - half * np.cos(np.pi * np.arange(samples) / (samples - 1))
@@ -126,7 +140,7 @@ def surface_mesh(res, c, slices, rings, z_max=None, delta=DEFAULT_DELTA):
     Returns a list of TriangleMeshes (one per connected component).  Bounded
     meshes are closed with polar fans; unbounded ones are open tubes.
     """
-    _check_geometry_params(c, 2)
+    _check_geometry_params(res, c, 2, delta, z_max)
     if slices < 3:
         raise BadParams(f"need at least 3 slices, got {slices}")
     if rings < 2:

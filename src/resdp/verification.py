@@ -465,8 +465,9 @@ def _pushforward_points(res, count, seed):
     """Fiber samples at momentum 1.5, kept well inside the domain and away from leaf poles.
 
     For n < m minus resonances the admissible fiber band itself is thin, so
-    the pole-gap floor adapts to what the domain allows.  Raises EmptyFiber
-    when 50 rounds of sampling yield fewer than `count` points.
+    the pole-gap floor adapts to what the domain allows.  Returns the first
+    `count` kept points (count, 4) in draw order; raises EmptyFiber when 50
+    rounds of sampling yield fewer.
     """
     c = 1.5
     gap_floor = 0.3 * c
@@ -475,18 +476,14 @@ def _pushforward_points(res, count, seed):
         s_max = dual_pair.minus_fiber_s_max(res, c)
         gap_floor = min(gap_floor, 0.3 * res.m * s_max)
         domain_margin = 0.9
-    out = []
+    out = np.empty((0, 4))
     attempt = 0
     while len(out) < count and attempt < 50:
         pts = dual_pair.fiber_sample(res, c, 4 * count, seed=seed + 101 * attempt)
-        inside = rm.in_domain(res, pts, domain_margin)
-        for a, ok in zip(pts, inside):
-            a1, a2 = ps.to_complex(a)
-            if not ok or min(res.n * float(abs(a1)) ** 2, res.m * float(abs(a2)) ** 2) < gap_floor:
-                continue
-            out.append(a)
-            if len(out) == count:
-                break
+        a1, a2 = ps.to_complex(pts)
+        gap = np.minimum(res.n * np.abs(a1) ** 2, res.m * np.abs(a2) ** 2)
+        keep = rm.in_domain(res, pts, domain_margin) & (gap >= gap_floor)
+        out = np.concatenate([out, pts[keep][:count - len(out)]])
         attempt += 1
     if len(out) < count:
         raise EmptyFiber(f"found {len(out)}/{count} pushforward start points on the "

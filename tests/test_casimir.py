@@ -255,6 +255,22 @@ class TestArrayDriver:
         ev = casimir.solve_casimir(Resonance(2, 1), np.empty((0, 3)))
         assert ev.value.shape == (0,) and ev.gradient.shape == (0, 3) and ev.iterations == 0
 
+    @pytest.mark.parametrize("res", [Resonance(3, 2), Resonance(2, 3, "minus")], ids=str)
+    def test_stack_keeps_its_shape_and_bits(self, res):
+        # A (2, 5, 3) stack solves as its 10 rows and keeps its leading axes,
+        # so leaf_field broadcasts over it as field_on_level does.
+        pts = leaf_and_stencil_points(res, 4)[0][:10]
+        flat = casimir.solve_casimir(res, pts)
+        stack = casimir.solve_casimir(res, pts.reshape(2, 5, 3))
+        assert stack.value.shape == stack.residual.shape == (2, 5)
+        assert stack.gradient.shape == (2, 5, 3)
+        assert stack.value.tolist() == flat.value.reshape(2, 5).tolist()
+        assert stack.residual.tolist() == flat.residual.reshape(2, 5).tolist()
+        assert stack.gradient.tolist() == flat.gradient.reshape(2, 5, 3).tolist()
+        assert stack.iterations == flat.iterations
+        field = casimir.leaf_field(res, pts.reshape(2, 5, 3))
+        assert field.tolist() == casimir.leaf_field(res, pts).reshape(2, 5, 3).tolist()
+
 
 def domain_probe_points(res, rng):
     """10^4 leaf points, 6,000 of them within 4 ulps of a domain boundary.

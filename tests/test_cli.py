@@ -7,6 +7,7 @@ import pytest
 from resdp import cli, dynamics, group_actions, jsonio
 from resdp.cli import main
 from resdp.errors import FiberMismatch
+from resdp.resonance_maps import Resonance
 
 
 def strip_timestamp(text):
@@ -163,6 +164,26 @@ class TestGeometryCommands:
         assert vcount == 2 * 16 * 8
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["curve", "--c", "nan"], "need a finite c, got nan"),
+        (["mesh", "--c", "inf"], "need a finite c, got inf"),
+        (["curve", "--sign", "minus", "--c", "1", "--delta", "-1"], "need delta >= 0, got -1.0"),
+        (["curve", "--sign", "minus", "--c", "1", "--delta", "nan"], "finite delta, got nan"),
+        (["curve", "--sign", "minus", "--c", "1", "--zmax", "nan"], "finite z_max, got nan"),
+        (["mesh", "--sign", "minus", "--c", "1", "--zmax", "inf"], "finite z_max, got inf"),
+        (["curve", "--n", "1", "--m", "4", "--c", "1e-6"], "pole insets of 1:4 at c = 1e-06"),
+        (["curve", "--n", "4", "--m", "4", "--c", "0.01"], "pole insets of 4:4 at c = 0.01"),
+        (["mesh", "--c", "1", "--delta", "1"], "pole insets of 1:1 at c = 1.0"),
+    ])
+    def test_bad_values_exit_two_and_write_nothing(self, argv, message, tmp_path, capsys):
+        # Each of these wrote NaN or off-shape rows and exited 0.
+        out = tmp_path / "shape.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestFlowCommands:
     def test_upstairs_csv(self, tmp_path, capsys):
         path = tmp_path / "traj.csv"
@@ -174,6 +195,23 @@ class TestFlowCommands:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1,y1,x2,y2,H"
         assert len(lines) == 12
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("name,coeff", [("X", "alpha"), ("Y", "beta"), ("Z", "gamma")])
+    def test_upstairs_leaf_hamiltonians_are_the_pullbacks(self, sign, name, coeff, tmp_path,
+                                                          capsys):
+        path = tmp_path / "up.csv"
+        code = main(["flow", "upstairs", "--n", "3", "--m", "2", "--sign", sign,
+                     "--hamiltonian", name, "--a0", "0.5,0.1,-0.2,0.3",
+                     "--dt", "0.01", "--T", "0.5", "--out", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        ham = dynamics.pullback(Resonance(3, 2, sign),
+                                dynamics.DownstairsHamiltonian(**{coeff: 1.0}))
+        want = dynamics.flow_upstairs(sign, ham, [0.5, 0.1, -0.2, 0.3], 0.01, 0.5)
+        got = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert got[:, 1:5].tolist() == want.states.tolist()
+        assert got[:, 5].tolist() == want.conserved["H"].tolist()
 
     def test_downstairs_csv(self, tmp_path, capsys):
         path = tmp_path / "dtraj.csv"

@@ -14,6 +14,12 @@ def cpoint(a1, a2):
     return ps.from_complex(a1, a2)
 
 
+def leaf_coordinates(res):
+    """X, Y and Z o leaf_map as pullbacks, the Hamiltonians of `resdp flow upstairs`."""
+    return tuple(dyn.pullback(res, dyn.DownstairsHamiltonian(**{k: 1.0}))
+                 for k in ("alpha", "beta", "gamma"))
+
+
 class TestCircleFlow:
     def test_half_turn_one_one(self):
         a = cpoint(0.3 + 0.4j, -0.2 + 0.9j)
@@ -56,7 +62,7 @@ class TestCanonicalBracket:
 
     def test_antisymmetry(self):
         res = Resonance(2, 3)
-        fx, fy = dyn.field_X(res), dyn.field_Y(res)
+        fx, fy, _ = leaf_coordinates(res)
         a = cpoint(0.8 + 0.1j, 0.5 - 0.6j)
         assert dyn.canonical_bracket("plus", fx, fy, a) == pytest.approx(
             -dyn.canonical_bracket("plus", fy, fx, a), abs=1e-13)
@@ -74,7 +80,7 @@ class TestCanonicalBracket:
                 ph = rng.uniform(0, 2 * np.pi, size=2)
                 a = ps.from_complex(np.sqrt(r1) * np.exp(1j * ph[0]),
                                     np.sqrt(r2) * np.exp(1j * ph[1]))
-            fx, fy, fz = dyn.field_X(res), dyn.field_Y(res), dyn.field_Z(res)
+            fx, fy, fz = leaf_coordinates(res)
             p = rm.leaf_map(res, a)
             r = float(rm.circle_momentum(res, a))
             x, y, z = (float(v) for v in p)
@@ -89,7 +95,7 @@ class TestCanonicalBracket:
         # {Z, X - iY} = 2 i m n (X - iY) split into real brackets:
         # {Z, X} = 2 m n Y and {Z, Y} = -2 m n X.
         res = Resonance(3, 2, "minus")
-        fx, fy, fz = dyn.field_X(res), dyn.field_Y(res), dyn.field_Z(res)
+        fx, fy, fz = leaf_coordinates(res)
         rng = np.random.default_rng(2)
         for _ in range(20):
             a = rng.uniform(-1.2, 1.2, size=4)
@@ -134,13 +140,13 @@ class TestFlowUpstairs:
     def test_invariant_hamiltonian_conserves_momentum(self):
         res = Resonance(1, 1)
         a0 = np.array([0.9, 0.1, 0.4, -0.6])
-        traj = dyn.flow_upstairs("plus", dyn.field_X(res), a0, 1e-3, 1.0)
+        traj = dyn.flow_upstairs("plus", leaf_coordinates(res)[0], a0, 1e-3, 1.0)
         r = np.array([rm.circle_momentum(res, a) for a in traj.states])
         assert np.max(np.abs(r - r[0])) < 1e-9
 
     def test_hamiltonian_drift_small(self):
         res = Resonance(2, 1)
-        ham = dyn.field_X(res)
+        ham = leaf_coordinates(res)[0]
         a0 = np.array([1.1, -0.2, 0.6, 0.4])
         traj = dyn.flow_upstairs("plus", ham, a0, 1e-3, 1.0)
         drift = np.max(np.abs(traj.conserved["H"] - traj.conserved["H"][0]))
@@ -148,7 +154,7 @@ class TestFlowUpstairs:
 
     def test_order_factor_under_step_halving(self):
         res = Resonance(1, 1)
-        fx, fz = dyn.field_X(res), dyn.field_Z(res)
+        fx, _, fz = leaf_coordinates(res)
         ham = ScalarField(lambda a: fx(a) ** 2 + fz(a),
                           lambda a: 2 * fx(a) * fx.gradient(a) + fz.gradient(a))
         a0 = np.array([1.0, 0.3, -0.4, 0.8])
@@ -341,6 +347,8 @@ class TestPushforward:
 
 
 _PULLBACK_HAMS = [dyn.DownstairsHamiltonian(),
+                  dyn.DownstairsHamiltonian(alpha=1.0),
+                  dyn.DownstairsHamiltonian(beta=1.0),
                   dyn.DownstairsHamiltonian(gamma=1.3),
                   dyn.DownstairsHamiltonian(alpha=0.15, beta=-0.1, gamma=0.8)]
 
@@ -364,7 +372,7 @@ class TestPullbackGradient:
     def test_mpmath_spot_check(self, sign):
         mpmath = pytest.importorskip("mpmath")
         res = Resonance(4, 3, sign)
-        ham = _PULLBACK_HAMS[2]
+        ham = _PULLBACK_HAMS[-1]
         a = cpoint(0.9 + 0.35j, 0.55 - 0.6j)
         s = 1 if sign == "plus" else -1
         with mpmath.workdps(50):

@@ -8,10 +8,37 @@ from resdp.errors import EmptyFiber
 from resdp.resonance_maps import Resonance
 
 
+def per_point_pushforward_points(res, count, seed):
+    """The per-point filter loop that one mask per fiber draw replaced, as the reference."""
+    c, domain_margin = 1.5, 0.5
+    gap_floor = 0.3 * c
+    if res.sign == "minus" and res.n < res.m:
+        gap_floor = min(gap_floor, 0.3 * res.m * dp.minus_fiber_s_max(res, c))
+        domain_margin = 0.9
+    out = []
+    for attempt in range(50):
+        pts = dp.fiber_sample(res, c, 4 * count, seed=seed + 101 * attempt)
+        for a, ok in zip(pts, rm.in_domain(res, pts, domain_margin)):
+            a1, a2 = complex(a[0], a[1]), complex(a[2], a[3])
+            if ok and min(res.n * abs(a1) ** 2, res.m * abs(a2) ** 2) >= gap_floor:
+                out.append(a)
+                if len(out) == count:
+                    return np.array(out)
+    raise AssertionError("the reference ran out of points")
+
+
 class TestPushforwardPoints:
     def test_returns_requested_count(self):
         points = vf._pushforward_points(Resonance(3, 2, "minus"), 3, seed=7)
         assert len(points) == 3
+
+    @pytest.mark.parametrize("cell", vf.GRID, ids=str)
+    def test_same_points_as_the_per_point_filter(self, cell):
+        res = Resonance(*cell)
+        for count, seed in ((1, 61), (3, 7)):
+            got = vf._pushforward_points(res, count, seed)
+            assert got.shape == (count, 4)
+            assert got.tolist() == per_point_pushforward_points(res, count, seed).tolist()
 
     def test_shortfall_raises_with_count(self, monkeypatch):
         # Every fiber point sits next to the a2 = 0 axis, so the pole-gap
