@@ -50,9 +50,12 @@ def _add_resonance_flags(parser):
 def _write_report(report_dict, path):
     report_dict = dict(report_dict)
     report_dict["timestamp"] = datetime.now(timezone.utc).isoformat()
+    try:
+        text = jsonio.dumps(report_dict, indent=2)
+    except ValueError as exc:
+        raise ResdpError(f"cannot write {path}: {exc}") from None
     with open(path, "w", newline="\n") as fh:
-        fh.write(jsonio.dumps(report_dict, indent=2))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cmd_casimir(args):
@@ -161,7 +164,7 @@ def _cmd_verify(args):
         for rep in reports:
             _print_report(rep)
         ok = all(r.passed for r in reports)
-        worst = max((r.max_defect for r in reports), default=0.0)
+        worst = float(np.max([r.max_defect for r in reports], initial=0.0))
         if args.json:
             _write_report({
                 "check": "all", "n": None, "m": None, "sign": None,

@@ -42,8 +42,9 @@ class Trajectory:
 
 
 def field_R(res):
-    return ScalarField(lambda a: float(rm.circle_momentum(res, a)),
-                       lambda a: rm.circle_momentum_gradient(res, a))
+    """The circle momentum on batches (..., 4), with its gradient at one point as Python floats."""
+    return ScalarField(lambda a: rm.circle_momentum(res, a),
+                       lambda a: rm.circle_momentum_gradient(res, a).tolist())
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,11 @@ def _upstairs_states(sign, grad, a0, dt, steps):
 
 
 def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
-    """Flow of the Hamiltonian vector field defined by the symplectic form."""
+    """Hamiltonian flow from hamiltonian.grad; one hamiltonian.fn call on the states logs H."""
     steps = _step_count(dt, total_time)
-    states = _upstairs_states(sign, lambda a: hamiltonian.gradient(a).tolist(), a0, dt, steps)
+    states = _upstairs_states(sign, hamiltonian.grad, a0, dt, steps)
     times = dt * np.arange(steps + 1)
-    log = np.array([hamiltonian(a) for a in states])
-    return Trajectory(times=times, states=states, conserved={"H": log})
+    return Trajectory(times=times, states=states, conserved={"H": hamiltonian.fn(states)})
 
 
 def _downstairs_states(res, hamiltonian, p0, dt, steps):

@@ -14,6 +14,7 @@ The R^3 <-> Lie algebra identifications are
 
 Every function broadcasts over leading axes of (..., 2, 2) matrices, (..., 4)
 points and (..., 3) algebra vectors; checks name the first bad row of a batch.
+random_element draws elements of any shape as arrays from one generator.
 """
 
 from dataclasses import dataclass
@@ -83,19 +84,15 @@ def su11_element(alpha, beta):
     return GroupElement(_mat2(alpha, beta, np.conj(beta), np.conj(alpha)), ps.MINUS)
 
 
-def draw_element(sign, rng):
-    """The generator draws of one random element: a normal 4-vector (plus) or (t, phi, psi)."""
+def random_element(sign, rng, shape=()):
+    """Elements of the given shape: Haar SU(2) from a normal (*shape, 4) draw (plus), or SU(1,1)
+    boosts (cosh t e^{i phi}, sinh t e^{i psi}), t in [0, 1.2) drawn before (phi, psi)."""
     ps.check_sign(sign)
+    shape = np.broadcast_shapes(shape)
     if sign == ps.PLUS:
-        return rng.normal(size=4)
-    return np.concatenate([[rng.uniform(0.0, 1.2)], rng.uniform(0.0, 2 * np.pi, size=2)])
-
-
-def element_from_draws(sign, draws):
-    """Haar-ish SU(2) elements (plus) or moderate SU(1,1) boosts (minus) from (..., 4|3) draws."""
-    if sign == ps.PLUS:
-        return su2_element(*ps.to_complex(draws))
-    t, phi, psi = np.moveaxis(np.asarray(draws, dtype=float), -1, 0)
+        return su2_element(*ps.to_complex(rng.normal(size=shape + (4,))))
+    t = rng.uniform(0.0, 1.2, size=shape)
+    phi, psi = rng.uniform(0.0, 2 * np.pi, size=(2,) + shape)
     return su11_element(np.cosh(t) * np.exp(1j * phi), np.sinh(t) * np.exp(1j * psi))
 
 

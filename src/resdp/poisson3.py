@@ -75,9 +75,6 @@ class ScalarField:
     fn: Callable
     grad: Callable
 
-    def __call__(self, p):
-        return float(self.fn(np.asarray(p, dtype=float)))
-
     def gradient(self, p):
         return np.asarray(self.grad(np.asarray(p, dtype=float)), dtype=float)
 

@@ -203,13 +203,13 @@ def test_5_group_suite():
             level = float(np.real(ps.hermitian(sign, a, a)))
             if abs(level) < 0.1:
                 continue
-            g0 = ga.element_from_draws(sign, ga.draw_element(sign, rng))
+            g0 = ga.random_element(sign, rng)
             b = ga.act(g0, a)
             g = ga.transitive_element(a, b, sign)
             worst_round = max(worst_round, float(np.max(np.abs(ga.act(g, a) - b))))
             done += 1
         for _ in range(1000):
-            g = ga.element_from_draws(sign, ga.draw_element(sign, rng))
+            g = ga.random_element(sign, rng)
             a = rng.uniform(-1.5, 1.5, size=4)
             v = rng.normal(size=3)
             worst_equi = max(worst_equi, ga.equivariance_defect(sign, g, a, v))
@@ -279,8 +279,8 @@ def test_6_dynamics_suite():
     res = Resonance(1, 1)
     fx = dyn.pullback(res, dyn.DownstairsHamiltonian(alpha=1.0))
     fz = dyn.pullback(res, dyn.DownstairsHamiltonian(gamma=1.0))
-    ham = poisson3.ScalarField(lambda a: fx(a) ** 2 + fz(a),
-                               lambda a: 2 * fx(a) * fx.gradient(a) + fz.gradient(a))
+    ham = poisson3.ScalarField(lambda a: fx.fn(a) ** 2 + fz.fn(a),
+                               lambda a: 2 * fx.fn(a) * fx.gradient(a) + fz.gradient(a))
     a0 = np.array([1.0, 0.3, -0.4, 0.8])
     drifts = []
     for dt in (4e-3, 2e-3):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from resdp import cli, dynamics, group_actions, jsonio
+from resdp import cli, dynamics, group_actions, jsonio, verification
 from resdp.cli import main
 from resdp.errors import FiberMismatch
 from resdp.resonance_maps import Resonance
@@ -316,3 +316,49 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL]" in out
+
+
+def nan_equivariance_defect(sign, g, a, v):
+    return np.full(len(a), np.nan)
+
+
+class TestNanDefect:
+    # A NaN defect fails its report; JSON cannot hold it, so --json exits 3.
+    def test_single_check_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(group_actions, "equivariance_defect", nan_equivariance_defect)
+        code = main(["verify", "equivariance", "--samples", "5"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("[FAIL] equivariance n=1 m=1 sign=plus max_defect=nan ")
+        assert "  BAD momentum_equivariance: defect nan" in out
+
+    def test_single_check_json_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(group_actions, "equivariance_defect", nan_equivariance_defect)
+        path = tmp_path / "report.json"
+        code = main(["verify", "equivariance", "--samples", "5", "--json", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.fullmatch(r"error: cannot write \S+report.json: cannot serialize "
+                            r"non-finite float nan\n", err)
+        assert not path.exists()
+
+    @pytest.fixture
+    def nan_run_all(self, monkeypatch):
+        def run_all(seed=42):
+            good = verification.check_conservation(Resonance(1, 1), samples=5, seed=seed)
+            nan = verification._assemble("equivariance", Resonance(1, 1), 5, seed, [
+                {"name": "momentum_equivariance", "defect": float("nan"), "tolerance": 1e-12}])
+            return [good, nan]
+
+        monkeypatch.setattr(verification, "run_all", run_all)
+
+    def test_verify_all_fails(self, nan_run_all, capsys):
+        code = main(["verify", "all"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.splitlines()[-1] == "verify all: FAIL (2 reports)"
+
+    def test_verify_all_json_exits_three(self, nan_run_all, tmp_path, capsys):
+        code = main(["verify", "all", "--json", str(tmp_path / "all.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: cannot write ")

@@ -133,7 +133,7 @@ class TestFlowUpstairs:
             assert np.max(np.abs(traj.states[-1] - exact)) < 1e-9
 
     def test_constant_hamiltonian_is_stationary(self):
-        const = ScalarField(lambda a: 3.0, lambda a: np.zeros(4))
+        const = ScalarField(lambda a: np.full(np.shape(a)[:-1], 3.0), lambda a: np.zeros(4))
         traj = dyn.flow_upstairs("plus", const, [1.0, 0.0, 0.5, 0.2], 1e-2, 0.5)
         assert np.max(np.abs(traj.states - traj.states[0])) == 0.0
 
@@ -155,8 +155,8 @@ class TestFlowUpstairs:
     def test_order_factor_under_step_halving(self):
         res = Resonance(1, 1)
         fx, _, fz = leaf_coordinates(res)
-        ham = ScalarField(lambda a: fx(a) ** 2 + fz(a),
-                          lambda a: 2 * fx(a) * fx.gradient(a) + fz.gradient(a))
+        ham = ScalarField(lambda a: fx.fn(a) ** 2 + fz.fn(a),
+                          lambda a: 2 * fx.fn(a) * fx.gradient(a) + fz.gradient(a))
         a0 = np.array([1.0, 0.3, -0.4, 0.8])
         drifts = []
         for dt in (4e-3, 2e-3):

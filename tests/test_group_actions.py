@@ -10,10 +10,6 @@ def cpoint(a1, a2):
     return ps.from_complex(a1, a2)
 
 
-def random_element(sign, rng):
-    return ga.element_from_draws(sign, ga.draw_element(sign, rng))
-
-
 IDENTITY = ga.GroupElement(np.eye(2, dtype=complex), "plus")
 
 
@@ -78,7 +74,7 @@ class TestEmbedAndAct:
         rng = np.random.default_rng(2)
         for sign in ("plus", "minus"):
             for _ in range(100):
-                g = random_element(sign, rng)
+                g = ga.random_element(sign, rng)
                 a, b = rng.normal(size=(2, 4))
                 before = ps.hermitian(sign, a, b)
                 after = ps.hermitian(sign, ga.act(g, a), ga.act(g, b))
@@ -90,15 +86,15 @@ class TestGroupElements:
         rng = np.random.default_rng(3)
         for sign in ("plus", "minus"):
             for _ in range(100):
-                g = random_element(sign, rng)
+                g = ga.random_element(sign, rng)
                 assert ga.group_defect(g) < 1e-12
 
     def test_closure_products_and_inverses(self):
         rng = np.random.default_rng(4)
         for sign in ("plus", "minus"):
             for _ in range(100):
-                g = random_element(sign, rng)
-                h = random_element(sign, rng)
+                g = ga.random_element(sign, rng)
+                h = ga.random_element(sign, rng)
                 assert ga.group_defect(g @ h) < 1e-12
                 assert ga.group_defect(g.inverse()) < 1e-12
 
@@ -120,7 +116,7 @@ class TestTransitivity:
     def test_su11_roundtrip(self):
         rng = np.random.default_rng(5)
         a = cpoint(2.0, 1.0)
-        g0 = random_element("minus", rng)
+        g0 = ga.random_element("minus", rng)
         b = ga.act(g0, a)
         g = ga.transitive_element(a, b, "minus")
         assert np.max(np.abs(ga.act(g, a) - b)) < 1e-12
@@ -135,7 +131,7 @@ class TestTransitivity:
                 level = float(np.real(ps.hermitian(sign, a, a)))
                 if abs(level) < 0.1:
                     continue
-                g0 = random_element(sign, rng)
+                g0 = ga.random_element(sign, rng)
                 b = ga.act(g0, a)
                 g = ga.transitive_element(a, b, sign)
                 assert np.max(np.abs(ga.act(g, a) - b)) < 1e-12
@@ -163,13 +159,13 @@ class TestAdjoint:
 
     def test_zero_vector_fixed(self):
         rng = np.random.default_rng(7)
-        g = random_element("plus", rng)
+        g = ga.random_element("plus", rng)
         assert np.allclose(ga.adjoint("plus", g, np.zeros(3)), np.zeros(3))
 
     def test_plus_preserves_euclidean_norm(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            g = random_element("plus", rng)
+            g = ga.random_element("plus", rng)
             v = rng.normal(size=3)
             w = ga.adjoint("plus", g, v)
             assert abs(w @ w - v @ v) < 1e-12
@@ -178,7 +174,7 @@ class TestAdjoint:
         rng = np.random.default_rng(9)
         quad = lambda v: v[0] ** 2 + v[1] ** 2 - v[2] ** 2
         for _ in range(200):
-            g = random_element("minus", rng)
+            g = ga.random_element("minus", rng)
             v = rng.normal(size=3)
             w = ga.adjoint("minus", g, v)
             assert abs(quad(w) - quad(v)) < 1e-12
@@ -193,7 +189,7 @@ class TestEquivariance:
     def test_random_elements(self, sign):
         rng = np.random.default_rng(10)
         for _ in range(300):
-            g = random_element(sign, rng)
+            g = ga.random_element(sign, rng)
             a = rng.uniform(-1.5, 1.5, size=4)
             v = rng.normal(size=3)
             assert ga.equivariance_defect(sign, g, a, v) < 1e-12
@@ -202,10 +198,10 @@ class TestEquivariance:
 class TestSignArgument:
     @pytest.mark.parametrize("call", [
         lambda s: ga.lie_algebra_matrix(s, [0.0, 0.0, 1.0]),
-        lambda s: ga.draw_element(s, np.random.default_rng(0)),
+        lambda s: ga.random_element(s, np.random.default_rng(0)),
         lambda s: ga.point_matrix(cpoint(1.0, 0.5), s),
         lambda s: ga.transitive_element(cpoint(1.0, 0.0), cpoint(0.0, 1.0), s),
-    ], ids=["lie_algebra_matrix", "draw_element", "point_matrix", "transitive_element"])
+    ], ids=["lie_algebra_matrix", "random_element", "point_matrix", "transitive_element"])
     @pytest.mark.parametrize("bad", ["SU2", "SU11", None])
     def test_unknown_sign_raises(self, call, bad):
         with pytest.raises(ValueError, match="sign must be"):

@@ -1,9 +1,10 @@
 """The group-action certificates on batches.
 
-The equivariance and transitivity checks draw their samples one at a time,
-in the generator order of the per-sample loop they replace, and then run the
-group functions once over (k, 2, 2) arrays.  These tests pin the draws bit
-for bit, compare each batched function with a loop over its single-element
+The equivariance and transitivity checks draw every input as an array from
+one generator per check, through group_actions.random_element, and then run
+the group functions once over (k, 2, 2) arrays.  These tests pin a single
+random_element to a loop reference of its draws, check the transitivity
+points, compare each batched function with a loop over its single-element
 case, and check that a bad row inside a batch raises and is named.
 """
 
@@ -19,67 +20,73 @@ SIGNS = ["plus", "minus"]
 SEEDS = [1, 42]
 
 
-def loop_element_draws(sign, rng):
-    """The generator calls of one random element, as the per-sample loop made them."""
+def loop_reference_element(sign, rng):
+    """One random element from scalar generator calls: a normal 4-vector, or t then (phi, psi)."""
     if sign == "plus":
-        return rng.normal(size=4)
+        return ga.su2_element(*ps.to_complex(rng.normal(size=4)))
     t = rng.uniform(0.0, 1.2)
     phi, psi = rng.uniform(0.0, 2 * np.pi, size=2)
-    return np.array([t, phi, psi])
+    return ga.su11_element(np.cosh(t) * np.exp(1j * phi), np.sinh(t) * np.exp(1j * psi))
 
 
-def loop_equivariance_draws(sign, samples, rng):
-    rows = []
-    for _ in range(samples):
-        g = loop_element_draws(sign, rng)
-        a = rng.uniform(-1.5, 1.5, size=4)
-        v = rng.normal(size=3)
-        rows.append((g, a, v))
-    return rows
+def equivariance_inputs(sign, count, seed):
+    """Elements, points and algebra vectors, drawn as check_equivariance draws them."""
+    rng = np.random.default_rng(seed)
+    return (ga.random_element(sign, rng, count), rng.uniform(-1.5, 1.5, size=(count, 4)),
+            rng.normal(size=(count, 3)))
 
 
-def loop_transitivity_draws(sign, samples, rng):
-    rows = []
-    while len(rows) < samples:
-        a = rng.uniform(-1.5, 1.5, size=4)
-        if sign == "minus":
-            level = ps.hermitian("minus", a, a).real
-            if abs(level) < 0.1:
-                continue
-        elif np.linalg.norm(a) < 0.1:
-            continue
-        rows.append((a, loop_element_draws(sign, rng)))
-    return rows
+def fiber_level(sign, a):
+    """|<a, a>_-| on minus, |a| on plus: the distance rule of the transitivity points."""
+    if sign == "minus":
+        return np.abs(ps.hermitian("minus", a, a).real)
+    return np.linalg.norm(a, axis=-1)
 
 
-class TestDraws:
+class TestRandomElement:
     @pytest.mark.parametrize("sign", SIGNS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_equivariance_draws_match_the_loop(self, sign, seed):
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    def test_single_element_matches_the_loop_reference(self, sign, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws, a, v = vf._equivariance_draws(sign, 200, rng)
-        ref = loop_equivariance_draws(sign, 200, ref_rng)
-        assert draws.tolist() == [r[0].tolist() for r in ref]
-        assert a.tolist() == [r[1].tolist() for r in ref]
-        assert v.tolist() == [r[2].tolist() for r in ref]
-        assert rng.random() == ref_rng.random()
-
-    @pytest.mark.parametrize("sign", SIGNS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_transitivity_draws_match_the_loop(self, sign, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, draws = vf._transitivity_draws(sign, 200, rng)
-        ref = loop_transitivity_draws(sign, 200, ref_rng)
-        assert a.tolist() == [r[0].tolist() for r in ref]
-        assert draws.tolist() == [r[1].tolist() for r in ref]
-        assert rng.random() == ref_rng.random()
-
-    @pytest.mark.parametrize("sign", SIGNS)
-    def test_one_draw_is_the_batch_of_one(self, sign):
-        g = ga.element_from_draws(sign, ga.draw_element(sign, np.random.default_rng(3)))
-        draws = loop_element_draws(sign, np.random.default_rng(3))
+        g = ga.random_element(sign, rng)
+        ref = loop_reference_element(sign, ref_rng)
+        assert g.sign == sign
         assert g.matrix.shape == (2, 2)
-        assert g.matrix.tolist() == ga.element_from_draws(sign, draws[None]).matrix[0].tolist()
+        assert g.matrix.tolist() == ref.matrix.tolist()
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("sign", SIGNS)
+    def test_shape_gives_leading_axes(self, sign):
+        g = ga.random_element(sign, np.random.default_rng(7), (2, 3))
+        assert g.matrix.shape == (2, 3, 2, 2)
+        assert np.max(ga.group_defect(g)) < 1e-12
+        assert ga.random_element(sign, np.random.default_rng(7), 5).matrix.shape == (5, 2, 2)
+
+
+class TestTransitivityPoints:
+    @pytest.mark.parametrize("sign", SIGNS)
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    def test_count_and_distance_from_the_excluded_fiber(self, sign, samples):
+        a = vf._transitivity_points(sign, samples, np.random.default_rng(2))
+        assert a.shape == (samples, 4)
+        assert np.all(np.abs(a) <= 1.5)
+        assert np.all(fiber_level(sign, a) >= 0.1)
+
+    @pytest.mark.parametrize("sign", SIGNS)
+    def test_first_kept_rows_of_the_first_block_in_draw_order(self, sign):
+        a = vf._transitivity_points(sign, 200, np.random.default_rng(4))
+        block = np.random.default_rng(4).uniform(-1.5, 1.5, size=(200, 4))
+        kept = block[fiber_level(sign, block) >= 0.1]
+        assert len(kept) > 0
+        assert a[:len(kept)].tolist() == kept.tolist()
+
+    @pytest.mark.parametrize("sign", SIGNS)
+    def test_same_seed_same_points_other_seed_other_points(self, sign):
+        def points(seed):
+            return vf._transitivity_points(sign, 50, np.random.default_rng(seed))
+
+        assert points(9).tolist() == points(9).tolist()
+        assert not np.any(points(9) == points(10))
 
 
 def row(g, i):
@@ -95,8 +102,7 @@ class TestBatchMatchesLoop:
         # batch in its vector loops, so the two differ by ulps of the
         # pairings: the bound is 1e-15 relative to 1 + |pairing|.  Batches of
         # one row run the vector loops and agree bit for bit.
-        draws, a, v = vf._equivariance_draws(sign, 200, np.random.default_rng(seed))
-        g = ga.element_from_draws(sign, draws)
+        g, a, v = equivariance_inputs(sign, 200, seed)
         batch = ga.equivariance_defect(sign, g, a, v)
         loop = [ga.equivariance_defect(sign, row(g, i), a[i], v[i]) for i in range(len(a))]
         ones = [ga.equivariance_defect(sign, row(g, [i]), a[[i]], v[[i]])[0]
@@ -109,8 +115,9 @@ class TestBatchMatchesLoop:
     @pytest.mark.parametrize("sign", SIGNS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_transitive_element_and_group_defect(self, sign, seed):
-        a, draws = vf._transitivity_draws(sign, 200, np.random.default_rng(seed))
-        g0 = ga.element_from_draws(sign, draws)
+        rng = np.random.default_rng(seed)
+        a = vf._transitivity_points(sign, 200, rng)
+        g0 = ga.random_element(sign, rng, 200)
         b = ga.act(g0, a)
         loop_b = np.array([ga.act(row(g0, i), a[i]) for i in range(len(a))])
         assert np.max(np.abs(b - loop_b)) <= 1e-15
@@ -124,18 +131,20 @@ class TestBatchMatchesLoop:
 
     @pytest.mark.parametrize("sign", SIGNS)
     def test_leading_axes_broadcast(self, sign):
-        draws, a, v = vf._equivariance_draws(sign, 6, np.random.default_rng(5))
-        g = ga.element_from_draws(sign, draws.reshape(2, 3, -1))
-        grid = ga.equivariance_defect(sign, g, a.reshape(2, 3, 4), v.reshape(2, 3, 3))
-        flat = ga.equivariance_defect(sign, ga.element_from_draws(sign, draws), a, v)
+        g, a, v = equivariance_inputs(sign, 6, 5)
+        g_grid = ga.random_element(sign, np.random.default_rng(5), (2, 3))
+        assert g_grid.matrix.reshape(6, 2, 2).tolist() == g.matrix.tolist()
+        grid = ga.equivariance_defect(sign, g_grid, a.reshape(2, 3, 4), v.reshape(2, 3, 3))
+        flat = ga.equivariance_defect(sign, g, a, v)
         assert grid.shape == (2, 3)
         assert grid.ravel().tolist() == flat.tolist()
 
 
 def good_batch(sign, count=6, seed=11):
     """count points off the null fiber, their images under random elements, and vectors."""
-    a, draws = vf._transitivity_draws(sign, count, np.random.default_rng(seed))
-    b = ga.act(ga.element_from_draws(sign, draws), a)
+    rng = np.random.default_rng(seed)
+    a = vf._transitivity_points(sign, count, rng)
+    b = ga.act(ga.random_element(sign, rng, count), a)
     v = np.random.default_rng(seed + 1).normal(size=(count, 3))
     return a, b, v
 

@@ -1,9 +1,11 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
 
-from resdp import casimir, dual_pair as dp, poisson3, resonance_maps as rm, verification as vf
+from resdp import casimir, dual_pair as dp, group_actions as ga, poisson3
+from resdp import resonance_maps as rm, verification as vf
 from resdp.errors import EmptyFiber
 from resdp.resonance_maps import Resonance
 
@@ -236,3 +238,34 @@ class TestDualPairCheck:
         report = vf.check_dual_pair(Resonance(4, 4, "minus"), samples=60, seed=seed)
         assert report.passed
         assert report.details[0]["defect"] < 1e-11
+
+
+def nan_equivariance_defect(sign, g, a, v):
+    return np.full(len(a), np.nan)
+
+
+class TestNanDefect:
+    def test_nan_detail_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(ga, "equivariance_defect", nan_equivariance_defect)
+        report = vf.check_equivariance(Resonance(2, 1), samples=5, seed=1)
+        assert report.details[0]["pass"] is False
+        assert report.passed is False
+        assert math.isnan(report.max_defect)
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_anywhere_among_passing_details(self, where):
+        details = [{"name": f"d{i}", "defect": 0.5e-12, "tolerance": 1e-12} for i in range(3)]
+        details[where]["defect"] = float("nan")
+        report = vf._assemble("check", Resonance(1, 1), 1, 0, details)
+        assert [d["pass"] for d in details] == [i != where for i in range(3)]
+        assert report.passed is False
+        assert math.isnan(report.max_defect)
+
+    def test_zero_defect_meets_a_zero_tolerance(self):
+        details = [{"name": "exact", "defect": 0.0, "tolerance": 0.0},
+                   {"name": "loose", "defect": 0.25, "tolerance": 1.0}]
+        report = vf._assemble("check", Resonance(1, 1), 1, 0, details)
+        assert report.passed is True and report.max_defect == 0.25
+        details[0]["defect"] = 1e-300
+        report = vf._assemble("check", Resonance(1, 1), 1, 0, details)
+        assert report.passed is False and report.max_defect == float("inf")

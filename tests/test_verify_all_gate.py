@@ -113,7 +113,24 @@ def test_detail_moves_on_hand_written_documents():
 def test_verify_all_seed_42_is_byte_identical(tmp_path, capsys):
     got = verify_all_json(tmp_path / "all.json")
     capsys.readouterr()
-    assert got.encode() == GOLDEN.read_bytes()
+    if got.encode() != GOLDEN.read_bytes():
+        moves = format_moves(detail_moves(json.loads(GOLDEN.read_text()), json.loads(got)))
+        pytest.fail(f"verify all --seed 42 differs from {GOLDEN.name}:\n"
+                    + (moves or "no defect moved; a pass flag, count or format differs"),
+                    pytrace=False)
+
+
+def test_golden_reports_follow_the_pass_rule():
+    # A report passes when every detail passes, and its max_defect is the
+    # largest defect/tolerance of its details; the summary is the same over reports.
+    doc = json.loads(GOLDEN.read_text())
+    for report in doc["details"]:
+        details = report["details"]
+        assert all(d["pass"] == (d["defect"] <= d["tolerance"]) for d in details)
+        assert report["pass"] == all(d["pass"] for d in details)
+        assert report["max_defect"] == max(d["defect"] / d["tolerance"] for d in details)
+    assert doc["pass"] == all(r["pass"] for r in doc["details"])
+    assert doc["max_defect"] == max(r["max_defect"] for r in doc["details"])
 
 
 if __name__ == "__main__":
