@@ -163,17 +163,11 @@ def _cmd_verify(args):
         reports = verification.run_all(seed=seed)
         for rep in reports:
             _print_report(rep)
-        ok = all(r.passed for r in reports)
-        worst = float(np.max([r.max_defect for r in reports], initial=0.0))
+        summary = verification.summarize(reports, seed)
         if args.json:
-            _write_report({
-                "check": "all", "n": None, "m": None, "sign": None,
-                "samples": sum(r.samples for r in reports), "seed": seed,
-                "tolerance": 1.0, "max_defect": worst, "pass": ok,
-                "details": [r.to_dict() for r in reports],
-            }, args.json)
-        print(f"verify all: {'PASS' if ok else 'FAIL'} ({len(reports)} reports)")
-        return 0 if ok else 1
+            _write_report(summary.to_dict(), args.json)
+        print(f"verify all: {'PASS' if summary.passed else 'FAIL'} ({len(reports)} reports)")
+        return 0 if summary.passed else 1
     samples = 1000 if args.samples is None else args.samples
     if samples < 1:
         raise BadParams(f"need --samples >= 1, got {samples}")

@@ -38,11 +38,6 @@ class GroupElement:
     def inverse(self):
         return GroupElement(_inv2(self.matrix), self.sign)
 
-    def __matmul__(self, other):
-        if self.sign != other.sign:
-            raise ValueError("cannot multiply elements of different groups")
-        return GroupElement(self.matrix @ other.matrix, self.sign)
-
 
 def _mat2(a, b, c, d):
     """The (..., 2, 2) matrices [[a, b], [c, d]] from broadcastable entries."""

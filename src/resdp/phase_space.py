@@ -70,13 +70,6 @@ def hermitian(sign, alpha, beta):
     return a1 * np.conj(b1) - a2 * np.conj(b2)
 
 
-def metric(u, v):
-    """Euclidean inner product on R^4 (broadcasts over leading axes)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.sum(u * v, axis=-1)
-
-
 def omega_matrix(sign):
     """Matrix W of the symplectic form: form(u, v) = u @ W @ v."""
     check_sign(sign)

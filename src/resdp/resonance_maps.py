@@ -35,8 +35,15 @@ class Resonance:
     sign: str = PLUS
 
     def __post_init__(self):
-        if int(self.n) != self.n or int(self.m) != self.m or self.n < 1 or self.m < 1:
+        try:
+            n, m = int(self.n), int(self.m)
+        except (TypeError, ValueError, OverflowError):
+            n = m = 0
+        if n != self.n or m != self.m or n < 1 or m < 1:
             raise ValueError(f"n, m must be positive integers, got ({self.n}, {self.m})")
+        # Integral floats are stored as int: the Casimir solver's powers need int exponents.
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         ps.check_sign(self.sign)
 
     @property
@@ -44,11 +51,15 @@ class Resonance:
         return self.n * self.m
 
 
+def _moduli(res, a):
+    """The terms n/2 |a1|^2 and m/2 |a2|^2 of circle_momentum and leaf_z."""
+    a1, a2 = to_complex(a)
+    return 0.5 * res.n * (a1.real ** 2 + a1.imag ** 2), 0.5 * res.m * (a2.real ** 2 + a2.imag ** 2)
+
+
 def circle_momentum(res, a):
     """Momentum of the resonant circle action (R for plus, R_minus for minus)."""
-    a1, a2 = to_complex(a)
-    first = 0.5 * res.n * (a1.real ** 2 + a1.imag ** 2)
-    second = 0.5 * res.m * (a2.real ** 2 + a2.imag ** 2)
+    first, second = _moduli(res, a)
     return first + second if res.sign == PLUS else first - second
 
 
@@ -62,9 +73,7 @@ def circle_momentum_gradient(res, a):
 
 def leaf_z(res, a):
     """Third leaf coordinate: the sign-flipped companion of circle_momentum."""
-    a1, a2 = to_complex(a)
-    first = 0.5 * res.n * (a1.real ** 2 + a1.imag ** 2)
-    second = 0.5 * res.m * (a2.real ** 2 + a2.imag ** 2)
+    first, second = _moduli(res, a)
     return first - second if res.sign == PLUS else first + second
 
 
@@ -127,18 +136,17 @@ def in_domain(res, a, margin=1.0):
 
     Plus: both complex components nonzero.  Minus: additionally the open
     condition (n|a1|^2)^m (m|a2|^2)^n < margin (n/2 |a1|^2 + m/2 |a2|^2)^(n+m);
-    a margin below 1 keeps the point that far inside.
+    a margin below 1 keeps the point that far inside.  One numpy bool per point.
     """
     a1, a2 = to_complex(a)
     r1 = a1.real ** 2 + a1.imag ** 2
     r2 = a2.real ** 2 + a2.imag ** 2
     off_axes = (r1 > 0.0) & (r2 > 0.0)
     if res.sign == PLUS:
-        return off_axes if off_axes.shape else bool(off_axes)
+        return off_axes
     lhs = int_pow(res.n * r1, res.m) * int_pow(res.m * r2, res.n)
     rhs = int_pow(0.5 * res.n * r1 + 0.5 * res.m * r2, res.n + res.m)
-    ok = off_axes & (lhs < margin * rhs)
-    return ok if ok.shape else bool(ok)
+    return off_axes & (lhs < margin * rhs)
 
 
 def kummer_identity_defect(res, a):

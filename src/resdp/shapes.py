@@ -86,23 +86,27 @@ def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
         g_top, g_bot = _pole_insets(res, c, delta)
         mid = 0.5 * ((c - g_top) + (-c + g_bot))
         half = 0.5 * ((c - g_top) - (-c + g_bot))
-        z = mid - half * np.cos(np.pi * np.arange(samples) / (samples - 1))
-        y = np.sqrt(kummer_product(res, c, z))
-        return [Polyline(np.column_stack([y, z]), label="bounded")]
-    if z_max is None:
-        z_max = 3.0 * c
-    lo = c * (1.0 + delta)
-    if z_max <= lo:
-        raise BadParams(f"need z_max > c(1+delta), got {z_max}")
-    z = np.linspace(lo, z_max, samples)
-    curves = [Polyline(np.column_stack([np.sqrt(kummer_product(res, c, z)), z]),
-                       label="upper")]
-    if has_lower_sheet(res):
-        zl = np.linspace(-z_max, -lo, samples)
-        curves.append(Polyline(
-            np.column_stack([np.sqrt(kummer_product(res, c, zl)), zl]),
-            label="lower"))
-    return curves
+        sheets = {"bounded": mid - half * np.cos(np.pi * np.arange(samples) / (samples - 1))}
+    else:
+        if z_max is None:
+            z_max = 3.0 * c
+        lo = c * (1.0 + delta)
+        if z_max <= lo:
+            raise BadParams(f"need z_max > c(1+delta), got {z_max}")
+        sheets = {"upper": np.linspace(lo, z_max, samples)}
+        if has_lower_sheet(res):
+            sheets["lower"] = np.linspace(-z_max, -lo, samples)
+    return [Polyline(np.column_stack([_radius(res, c, z), z]), label=label)
+            for label, z in sheets.items()]
+
+
+def _radius(res, c, z):
+    """The curve radius sqrt(K(c, z)) at heights z; BadParams where K overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = kummer_product(res, c, z)
+    if not np.all(np.isfinite(k)):
+        raise BadParams(f"the Kummer product of {res.n}:{res.m} overflows at c = {c}")
+    return np.sqrt(k)
 
 
 def _revolve(profile, slices, label, cap=None):

@@ -251,6 +251,18 @@ class TestArrayDriver:
             casimir.solve_casimir(res, np.array([[0.6, 0.0, 1.0], [1.0, 0.0, 0.5]]))
         assert str(batch.value) == "point (1.0, 0.0, 0.5) at row 1 outside the minus Casimir domain"
 
+    @pytest.mark.parametrize("point", [[1e160, 0.0, 1e10], [1e200, 0.0, 0.0]])
+    def test_overflowing_rho2_is_off_domain(self, point):
+        # x^2 + y^2 = inf gave a finite value with a nan gradient and residual.
+        res = Resonance(4, 4)
+        text = "point ({}, {}, {}){} where x^2 + y^2 overflows"
+        with pytest.raises(OffDomain) as single:
+            casimir.solve_casimir(res, point)
+        assert str(single.value) == text.format(*point, "")
+        with pytest.raises(OffDomain) as batch:
+            casimir.solve_casimir(res, np.array([[1.0, 0.0, 0.5], point, [1e300, 0.0, 0.0]]))
+        assert str(batch.value) == text.format(*point, " at row 1")
+
     def test_empty_batch(self):
         ev = casimir.solve_casimir(Resonance(2, 1), np.empty((0, 3)))
         assert ev.value.shape == (0,) and ev.gradient.shape == (0, 3) and ev.iterations == 0

@@ -53,6 +53,14 @@ class TestCasimirCommand:
         assert capsys.readouterr().err == ("error: root pinched against |z| = 1e+80, where the "
                                            "Kummer product overflows\n")
 
+    @pytest.mark.parametrize("point", ["1e160,0,1e10", "1e200,0,0"])
+    def test_overflowing_point_exit_code(self, point, capsys):
+        # These printed a nan gradient and residual, with a numpy warning, and exited 0.
+        assert main(["casimir", "--n", "4", "--m", "4", "--point", point]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: point (") and "x^2 + y^2 overflows" in captured.err
+
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "cas.json"
         code = main(["casimir", "--n", "1", "--m", "1", "--point", "3,0,4",
@@ -174,9 +182,15 @@ class TestGeometryCommands:
         (["curve", "--n", "1", "--m", "4", "--c", "1e-6"], "pole insets of 1:4 at c = 1e-06"),
         (["curve", "--n", "4", "--m", "4", "--c", "0.01"], "pole insets of 4:4 at c = 0.01"),
         (["mesh", "--c", "1", "--delta", "1"], "pole insets of 1:1 at c = 1.0"),
+        (["curve", "--n", "4", "--m", "4", "--c", "1e80"],
+         "Kummer product of 4:4 overflows at c = 1e+80"),
+        (["curve", "--n", "4", "--m", "4", "--sign", "minus", "--c", "1e200", "--zmax", "1e300"],
+         "Kummer product of 4:4 overflows at c = 1e+200"),
+        (["mesh", "--n", "3", "--m", "2", "--c", "1e100"],
+         "Kummer product of 3:2 overflows at c = 1e+100"),
     ])
     def test_bad_values_exit_two_and_write_nothing(self, argv, message, tmp_path, capsys):
-        # Each of these wrote NaN or off-shape rows and exited 0.
+        # Each of these wrote NaN, inf or off-shape rows and exited 0.
         out = tmp_path / "shape.out"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import pytest
 from resdp import group_actions as ga
 from resdp import phase_space as ps
 from resdp import resonance_maps as rm
+from resdp.casimir import solve_casimir
 from resdp.dynamics import circle_flow
 from resdp.errors import OnAxis
 from resdp.resonance_maps import Resonance
@@ -31,6 +32,20 @@ class TestResonanceType:
             Resonance(2, -3)
         with pytest.raises(ValueError):
             Resonance(1, 1, "sideways")
+
+    def test_integral_floats_are_stored_as_int(self):
+        # A float n reached the Casimir solver's integer powers as a TypeError.
+        res = Resonance(2.0, 1.0)
+        assert type(res.n) is int and type(res.m) is int
+        assert res == Resonance(2, 1)
+        assert solve_casimir(res, [1.0, 0.0, 0.0]).value == solve_casimir(
+            Resonance(2, 1), [1.0, 0.0, 0.0]).value
+
+    @pytest.mark.parametrize("n,m", [(2.5, 1), (1, 0.5), (float("nan"), 1),
+                                     (1, float("inf")), ("2", 1)])
+    def test_rejects_non_integral_values(self, n, m):
+        with pytest.raises(ValueError, match="positive integers"):
+            Resonance(n, m)
 
 
 class TestCircleMomentum:

@@ -269,3 +269,32 @@ class TestNanDefect:
         details[0]["defect"] = 1e-300
         report = vf._assemble("check", Resonance(1, 1), 1, 0, details)
         assert report.passed is False and report.max_defect == float("inf")
+
+
+class TestSummary:
+    def test_to_dict_keys_in_report_order(self):
+        report = vf.check_equivariance(Resonance(2, 1), samples=5, seed=1)
+        assert list(report.to_dict()) == ["check", "n", "m", "sign", "samples", "seed",
+                                          "tolerance", "max_defect", "pass", "details"]
+        assert report.to_dict()["pass"] is report.passed
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_summarize_keeps_a_nan_max_defect_and_fails(self, where):
+        reports = []
+        for i in range(2):
+            defect = float("nan") if i == where else 0.5e-12
+            details = [{"name": "d", "defect": defect, "tolerance": 1e-12}]
+            reports.append(vf._assemble("check", Resonance(1, 1), 3, 7, details))
+        summary = vf.summarize(reports, seed=7)
+        assert summary.passed is False
+        assert math.isnan(summary.max_defect)
+        assert (summary.check, summary.n, summary.samples, summary.seed) == ("all", None, 6, 7)
+        assert summary.details == [r.to_dict() for r in reports]
+
+    def test_summarize_passes_with_the_worst_ratio(self):
+        reports = [vf._assemble("check", Resonance(1, 1), 1, 0,
+                                [{"name": "d", "defect": d, "tolerance": 1.0}])
+                   for d in (0.25, 0.75, 0.5)]
+        summary = vf.summarize(reports, seed=0)
+        assert summary.passed is True and summary.max_defect == 0.75
+        assert vf.summarize([], seed=0).to_dict()["max_defect"] == 0.0

@@ -8,6 +8,11 @@ removed.  A change that moves a report on purpose rewrites the file with
 and lists the moved details in CHANGES.md.  Run it with --moves first: it
 then prints every detail whose defect differs between the file and a fresh
 run, and the largest move of each detail as a fraction of its tolerance.
+--moves also takes --seed N and --golden FILE, to diff a fresh run at seed N
+against FILE, such as a parent commit's `verify all --seed N --json` output:
+
+    PYTHONPATH=src python tests/test_verify_all_gate.py --moves --seed 7 --golden parent7.json
+
 The bits depend on the numpy SIMD loops of the machine that wrote the file
 (x86-64 with AVX-512, numpy 2.4.6): batched complex products, powers and
 reductions round differently where numpy dispatches to other vector
@@ -27,9 +32,9 @@ from resdp.cli import main
 GOLDEN = Path(__file__).parent / "data" / "verify_all_seed42.json"
 
 
-def verify_all_json(path):
-    """The seed-42 `verify all --json` text at path, without the timestamp line."""
-    assert main(["verify", "all", "--seed", "42", "--json", str(path)]) == 0
+def verify_all_json(path, seed=42):
+    """The `verify all --seed <seed> --json` text at path, without the timestamp line."""
+    assert main(["verify", "all", "--seed", str(seed), "--json", str(path)]) == 0
     text = Path(path).read_text()
     stripped, count = re.subn(r',\n  "timestamp": "[^"]*"\n}\n$', "\n}\n", text)
     assert count == 1
@@ -134,14 +139,25 @@ def test_golden_reports_follow_the_pass_rule():
 
 
 if __name__ == "__main__":
+    import argparse
     import contextlib
     import io
-    import sys
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Rewrite the seed-42 golden file, or with "
+                                                 "--moves print the details a fresh run moves.")
+    parser.add_argument("--moves", action="store_true")
+    parser.add_argument("--seed", type=int, default=None, help="with --moves (default 42)")
+    parser.add_argument("--golden", type=Path, default=None,
+                        help="with --moves (default tests/data/verify_all_seed42.json)")
+    args = parser.parse_args()
+    if not args.moves and (args.seed is not None or args.golden is not None):
+        parser.error("--seed and --golden need --moves; the golden file holds seed 42")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        fresh = verify_all_json(Path(tmp) / "all.json")
-    if sys.argv[1:] == ["--moves"]:
-        print(format_moves(detail_moves(json.loads(GOLDEN.read_text()), json.loads(fresh))))
+        fresh = verify_all_json(Path(tmp) / "all.json",
+                                42 if args.seed is None else args.seed)
+    if args.moves:
+        old = json.loads((args.golden or GOLDEN).read_text())
+        print(format_moves(detail_moves(old, json.loads(fresh))))
     else:
         GOLDEN.write_text(fresh, newline="\n")
