@@ -55,8 +55,11 @@ def _pole_insets(res, c, delta):
     widened from c delta until the end radius clears the axis margin.
     """
     tau = 10.0 * AXIS_MARGIN * (1.0 + c)
-    g_top = max(c * delta, res.m * (tau * tau * (res.n / (2.0 * c)) ** res.m) ** (1.0 / res.n))
-    g_bot = max(c * delta, res.n * (tau * tau * (res.m / (2.0 * c)) ** res.n) ** (1.0 / res.m))
+    try:
+        g_top = max(c * delta, res.m * (tau * tau * (res.n / (2.0 * c)) ** res.m) ** (1.0 / res.n))
+        g_bot = max(c * delta, res.n * (tau * tau * (res.m / (2.0 * c)) ** res.n) ** (1.0 / res.m))
+    except OverflowError:
+        raise BadParams(f"the pole insets of {res.n}:{res.m} overflow at c = {c}") from None
     return g_top, g_bot
 
 
@@ -81,6 +84,8 @@ def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
     Returns a list of Polylines: one for the bounded family, one or two
     (upper sheet, then lower sheet when present) for the unbounded family.
     """
+    if res.sign != PLUS and z_max is None:
+        z_max = 3.0 * c
     _check_geometry_params(res, c, samples, delta, z_max)
     if res.sign == PLUS:
         g_top, g_bot = _pole_insets(res, c, delta)
@@ -88,8 +93,6 @@ def generating_curve(res, c, samples, delta=DEFAULT_DELTA, z_max=None):
         half = 0.5 * ((c - g_top) - (-c + g_bot))
         sheets = {"bounded": mid - half * np.cos(np.pi * np.arange(samples) / (samples - 1))}
     else:
-        if z_max is None:
-            z_max = 3.0 * c
         lo = c * (1.0 + delta)
         if z_max <= lo:
             raise BadParams(f"need z_max > c(1+delta), got {z_max}")

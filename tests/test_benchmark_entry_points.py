@@ -14,8 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from resdp import verification
-
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -123,11 +121,3 @@ def test_tracer_hooks_read_a_shape_export_and_a_certify_grid_item(perfbench_modu
     assert counters[f"verification.{check}.used"] == report.samples > 0
     assert counters[f"verification.{check}.requested"] == samples
     assert tracer.layer_metrics()["verification.useful_frac"] > 0
-
-
-def test_certify_grid_counts_are_the_check_defaults(perfbench_modules):
-    # certify-grid fixes the `verify all` counts, which are the checks' samples defaults.
-    _, workloads = perfbench_modules
-    defaults = {name: inspect.signature(check).parameters["samples"].default
-                for name, check in verification.CHECKS.items()}
-    assert workloads.VERIFY_ALL_SAMPLES == defaults

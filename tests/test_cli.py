@@ -188,6 +188,9 @@ class TestGeometryCommands:
          "Kummer product of 4:4 overflows at c = 1e+200"),
         (["mesh", "--n", "3", "--m", "2", "--c", "1e100"],
          "Kummer product of 3:2 overflows at c = 1e+100"),
+        (["curve", "--n", "2", "--m", "2", "--c", "1e-200"],
+         "pole insets of 2:2 overflow at c = 1e-200"),
+        (["curve", "--sign", "minus", "--c", "1e308"], "need a finite z_max, got inf"),
     ])
     def test_bad_values_exit_two_and_write_nothing(self, argv, message, tmp_path, capsys):
         # Each of these wrote NaN, inf or off-shape rows and exited 0.

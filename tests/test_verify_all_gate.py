@@ -8,10 +8,10 @@ removed.  A change that moves a report on purpose rewrites the file with
 and lists the moved details in CHANGES.md.  Run it with --moves first: it
 then prints every detail whose defect differs between the file and a fresh
 run, and the largest move of each detail as a fraction of its tolerance.
---moves also takes --seed N and --golden FILE, to diff a fresh run at seed N
-against FILE, such as a parent commit's `verify all --seed N --json` output:
+--moves FILE diffs against FILE instead, such as a parent commit's
+`verify all --seed N --json` output, and runs at the seed that FILE holds:
 
-    PYTHONPATH=src python tests/test_verify_all_gate.py --moves --seed 7 --golden parent7.json
+    PYTHONPATH=src python tests/test_verify_all_gate.py --moves parent7.json
 
 The bits depend on the numpy SIMD loops of the machine that wrote the file
 (x86-64 with AVX-512, numpy 2.4.6): batched complex products, powers and
@@ -146,18 +146,14 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(description="Rewrite the seed-42 golden file, or with "
                                                  "--moves print the details a fresh run moves.")
-    parser.add_argument("--moves", action="store_true")
-    parser.add_argument("--seed", type=int, default=None, help="with --moves (default 42)")
-    parser.add_argument("--golden", type=Path, default=None,
-                        help="with --moves (default tests/data/verify_all_seed42.json)")
+    parser.add_argument("--moves", nargs="?", const=GOLDEN, type=Path, metavar="FILE",
+                        help="a `verify all --json` report to diff against, at its seed "
+                             "(default tests/data/verify_all_seed42.json)")
     args = parser.parse_args()
-    if not args.moves and (args.seed is not None or args.golden is not None):
-        parser.error("--seed and --golden need --moves; the golden file holds seed 42")
+    old = json.loads((args.moves or GOLDEN).read_text())
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        fresh = verify_all_json(Path(tmp) / "all.json",
-                                42 if args.seed is None else args.seed)
+        fresh = verify_all_json(Path(tmp) / "all.json", old["seed"])
     if args.moves:
-        old = json.loads((args.golden or GOLDEN).read_text())
         print(format_moves(detail_moves(old, json.loads(fresh))))
     else:
         GOLDEN.write_text(fresh, newline="\n")
