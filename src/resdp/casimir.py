@@ -55,24 +55,38 @@ def kummer_product(res, c, z):
 def in_leaf_domain(res, p, axis_margin=0.0, bound_margin=1.0):
     """Whether the Casimir of the given resonance is defined at p.
 
-    Off the z axis: x^2 + y^2 > tau^2 with tau = axis_margin (1 + |x| + |y|
-    + |z|).  The unbounded family also needs n^m m^n (x^2 + y^2) <
-    bound_margin z^(n+m).  Points of shape (k, 3) and up are checked
-    elementwise; a single point is unpacked as it comes, a 1-D array through
-    tolist(), which keeps the per-stage check of the downstairs right-hand
-    side free of numpy scalars.
+    The inequality is leaf_domain_test(res, axis_margin, bound_margin).
+    Points of shape (k, 3) and up are checked elementwise; a single point is
+    unpacked as it comes, a 1-D array through tolist().
     """
     if isinstance(p, np.ndarray):
         x, y, z = np.moveaxis(p, -1, 0) if p.ndim > 1 else p.tolist()
     else:
         x, y, z = p
-    rho2 = x * x + y * y
-    tau = axis_margin * (1.0 + abs(x) + abs(y) + abs(z))
-    ok = rho2 > tau * tau
+    return leaf_domain_test(res, axis_margin, bound_margin)(x, y, z)
+
+
+def leaf_domain_test(res, axis_margin=0.0, bound_margin=1.0):
+    """The leaf-domain inequality as a function inside(x, y, z) of floats or arrays.
+
+    Off the z axis: x^2 + y^2 > tau^2 with tau = axis_margin (1 + |x| + |y|
+    + |z|).  The unbounded family also needs n^m m^n (x^2 + y^2) <
+    bound_margin z^(n+m).  The per-resonance constants are computed here, so
+    a loop that builds the test once pays only the arithmetic per point.
+    """
     if res.sign == PLUS:
-        return ok
+        def inside(x, y, z):
+            tau = axis_margin * (1.0 + abs(x) + abs(y) + abs(z))
+            return x * x + y * y > tau * tau
+        return inside
     scale = float(res.n ** res.m * res.m ** res.n)
-    return ok & (scale * rho2 < bound_margin * _powi(z, res.n + res.m))
+    order = res.n + res.m
+
+    def inside(x, y, z):
+        rho2 = x * x + y * y
+        tau = axis_margin * (1.0 + abs(x) + abs(y) + abs(z))
+        return (rho2 > tau * tau) & (scale * rho2 < bound_margin * _powi(z, order))
+    return inside
 
 
 def _powi(x, k):
@@ -100,9 +114,14 @@ def _eval(n, m, sm, rho2, z, r):
     return val, dval
 
 
-def _kummer_dz(res, c, z):
-    """dK/dz of the Kummer product at level c: _eval with level and height swapped."""
-    return _eval(res.n, res.m, -res.m if res.sign == PLUS else res.m, 0.0, c, z)[1]
+def _kummer_dz(res, c):
+    """dK/dz of the Kummer product at level c, as a function of the height z.
+
+    It is _eval with level and height swapped.
+    """
+    n, m = res.n, res.m
+    sm = -m if res.sign == PLUS else m
+    return lambda z: _eval(n, m, sm, 0.0, c, z)[1]
 
 
 def kummer_second_derivatives(res, k, c, z):

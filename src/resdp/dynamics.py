@@ -6,10 +6,12 @@ and the opposite sign for "minus".  The Hamiltonian vector field is the one
 with d/dt F = {H, F}, under which the circle momentum generates exactly the
 resonant circle action (e^{i n t} a1, e^{i m t} a2) for both signatures.
 
-Both flows run through one classical 4th-order Runge-Kutta loop on a list
+Every flow runs through one classical 4th-order Runge-Kutta loop on a list
 of Python floats, so a stage makes no numpy call; the upstairs field is a
-signed permutation of the gradient.  The public flows measure conservation,
-never assume it.
+signed permutation of the gradient.  Each flow's field and step guard are
+built once per run, and the pushforward check integrates both flows as one
+7-float state (x1, y1, x2, y2, x, y, z).  The public flows measure
+conservation, never assume it.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import casimir, phase_space as ps, resonance_maps as rm
-from .errors import DomainExit, OffDomain, StepRejected
+from .errors import DomainExit, OffDomain, ResdpError, StepRejected
 from .phase_space import PLUS
 from .poisson3 import ScalarField
 
@@ -71,6 +73,7 @@ def pullback(res, ham):
     """
     n, m = res.n, res.m
     alpha, beta, gamma = ham.alpha, ham.beta, ham.gamma
+    m1, n1 = m - 1, n - 1
     gz1 = gamma * n
     gz2 = -gamma * m if res.sign == PLUS else gamma * m
 
@@ -78,8 +81,8 @@ def pullback(res, ham):
         x1, y1, x2, y2 = a
         a1 = complex(x1, y1)
         c2 = complex(x2, -y2)
-        pa = m * a1 ** (m - 1) * c2 ** n
-        pb = n * a1 ** m * c2 ** (n - 1)
+        pa = m * a1 ** m1 * c2 ** n
+        pb = n * a1 ** m * c2 ** n1
         return (alpha * pa.real - beta * pa.imag + gz1 * x1,
                 -alpha * pa.imag - beta * pa.real + gz1 * y1,
                 alpha * pb.real - beta * pb.imag + gz2 * x2,
@@ -114,8 +117,7 @@ def _rk4(rhs, y0, dt, steps, accept):
     when.  accept(y, k) runs on the state after step k and raises to reject
     it.  An OverflowError inside a step becomes StepRejected.
     """
-    out = np.empty((steps + 1, len(y0)))
-    out[0] = y0
+    out = [y0]
     y = y0
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -130,17 +132,22 @@ def _rk4(rhs, y0, dt, steps, accept):
             y = [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
                  for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)]
             accept(y, k + 1)
-            out[k + 1] = y
+            out.append(y)
     except OverflowError as exc:
         # Python float and complex powers raise where numpy would give inf.
         raise StepRejected(f"arithmetic overflow in step {k + 1}: {exc}") from exc
-    return out
+    return np.array(out, dtype=float)
 
 
 def _step_count(dt, total):
+    """The number of steps T / dt, which must be within 1e-9 (relative) of a whole number."""
     if not (0.0 < dt <= total and total / dt < math.inf):
         raise ValueError("need dt > 0, T >= dt and a finite T / dt")
-    return int(round(total / dt))
+    ratio = total / dt
+    steps = round(ratio)
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(f"need T / dt to be a whole number of steps, not {ratio:.12g}")
+    return steps
 
 
 def _guard_norm(norm, k):
@@ -149,19 +156,33 @@ def _guard_norm(norm, k):
         raise StepRejected(f"state norm {norm:g} beyond {_BLOWUP_NORM:g} at step {k}")
 
 
-def _upstairs_states(sign, grad, a0, dt, steps):
-    """RK4 states of the flow whose vector field is omega @ grad(a), a signed permutation."""
+def _upstairs_parts(sign, grad):
+    """Field and step guard of the flow whose vector field is omega @ grad(a).
+
+    omega @ grad(a) is a signed permutation of the gradient.  The field
+    takes the stage time, which it ignores, and the four coordinates as a
+    sequence of floats, which it hands to grad; the guard takes them with
+    the step number.
+    """
     ps.check_sign(sign)
     s = 1.0 if sign == PLUS else -1.0
+    ms = -s
 
-    def rhs(t, a):
+    def field(t, a):
         g0, g1, g2, g3 = grad(a)
-        return (-g1, g0, -s * g3, s * g2)
+        return (-g1, g0, ms * g3, s * g2)
 
-    def accept(a, k):
-        _guard_norm(math.sqrt(sum(u * u for u in a)), k)
+    def guard(a, k):
+        x1, y1, x2, y2 = a
+        _guard_norm(math.sqrt(sum((x1 * x1, y1 * y1, x2 * x2, y2 * y2))), k)
 
-    return _rk4(rhs, np.asarray(a0, dtype=float).tolist(), dt, steps, accept)
+    return field, guard
+
+
+def _upstairs_states(sign, grad, a0, dt, steps):
+    """RK4 states of the flow whose vector field is omega @ grad(a)."""
+    field, guard = _upstairs_parts(sign, grad)
+    return _rk4(field, np.asarray(a0, dtype=float).tolist(), dt, steps, guard)
 
 
 def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
@@ -172,34 +193,46 @@ def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
     return Trajectory(times=times, states=states, conserved={"H": hamiltonian.fn(states)})
 
 
-def _downstairs_states(res, hamiltonian, p0, dt, steps):
-    """RK4 states of mn grad G x grad H from p0, with the domain and blowup guards.
+def _downstairs_parts(res, hamiltonian, p0, dt):
+    """Field and step guard of mn grad G x grad H on the leaf through p0.
 
-    G = x^2 + y^2 - K(C0, z) is the Kummer polynomial of the leaf through p0,
-    so C0 is solved once and mn grad G is the structure field on that leaf.
+    G = x^2 + y^2 - K(C0, z) is the Kummer polynomial of that leaf, so C0 is
+    solved once and mn grad G is the structure field on it.  The field
+    takes the stage time and x, y, z as floats, and raises DomainExit at
+    that time outside the structure domain; the guard takes (x, y, z) as a
+    sequence with the step number, rejects a blown-up state, and raises
+    DomainExit at its step time.
     """
     p0 = np.asarray(p0, dtype=float)
-    if not casimir.in_leaf_domain(res, p0, _AXIS_MARGIN):
+    inside = casimir.leaf_domain_test(res, _AXIS_MARGIN)
+    if not inside(*p0.tolist()):
         raise OffDomain("initial point outside the structure domain")
-    c0 = casimir.solve_casimir(res, p0).value
+    dk_dz = casimir._kummer_dz(res, casimir.solve_casimir(res, p0).value)
     mn = float(res.mn)
+    two_mn, neg_mn = 2.0 * mn, -mn
     hx, hy, hz = hamiltonian.alpha, hamiltonian.beta, hamiltonian.gamma
 
-    def rhs(t, p):
-        if not casimir.in_leaf_domain(res, p, _AXIS_MARGIN):
+    def field(t, x, y, z):
+        if not inside(x, y, z):
             raise DomainExit(t)
-        x, y, z = p
-        vx = 2.0 * mn * x
-        vy = 2.0 * mn * y
-        vz = -mn * casimir._kummer_dz(res, c0, z)
+        vx = two_mn * x
+        vy = two_mn * y
+        vz = neg_mn * dk_dz(z)
         return (vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx)
 
-    def accept(p, k):
-        _guard_norm(abs(p[0]) + abs(p[1]) + abs(p[2]), k)
-        if not casimir.in_leaf_domain(res, p, _AXIS_MARGIN):
+    def guard(p, k):
+        x, y, z = p
+        _guard_norm(abs(x) + abs(y) + abs(z), k)
+        if not inside(x, y, z):
             raise DomainExit(k * dt)
 
-    return _rk4(rhs, p0.tolist(), dt, steps, accept)
+    return field, guard
+
+
+def _downstairs_states(res, hamiltonian, p0, dt, steps):
+    """RK4 states of mn grad G x grad H from p0, with the domain and blowup guards."""
+    field, guard = _downstairs_parts(res, hamiltonian, p0, dt)
+    return _rk4(lambda t, p: field(t, *p), np.asarray(p0, dtype=float).tolist(), dt, steps, guard)
 
 
 def flow_downstairs(res, hamiltonian, p0, dt, total_time):
@@ -217,23 +250,49 @@ def flow_downstairs(res, hamiltonian, p0, dt, total_time):
     return Trajectory(times=times, states=out, conserved={"C": cvals, "H": hvals})
 
 
+def _joint_states(res, hamiltonian, grad, a0, dt, steps):
+    """RK4 states (x1, y1, x2, y2, x, y, z) of both flows, one run from a0 and leaf_map(a0)."""
+    up_field, up_guard = _upstairs_parts(res.sign, grad)
+    p0 = rm.leaf_map(res, a0)
+    down_field, down_guard = _downstairs_parts(res, hamiltonian, p0, dt)
+
+    def rhs(t, y):
+        x1, y1, x2, y2, x, yy, z = y
+        return up_field(t, (x1, y1, x2, y2)) + down_field(t, x, yy, z)
+
+    def accept(y, k):
+        up_guard(y[:4], k)
+        down_guard(y[4:], k)
+
+    return _rk4(rhs, a0.tolist() + p0.tolist(), dt, steps, accept)
+
+
 def pushforward_defect(res, hamiltonian, a0, dt, total_time):
     """Worst gap between reduced upstairs flow and the downstairs flow.
 
-    Integrates the pulled-back Hamiltonian upstairs, pushes every state
-    through the leaf map in one batch, and compares with the downstairs
-    trajectory from the projected initial point.  Neither flow keeps a
+    Integrates the pulled-back Hamiltonian upstairs and the downstairs flow
+    from the projected initial point as one 7-float state, pushes every
+    upstairs state through the leaf map in one batch, and compares.  When
+    the joint run raises, the upstairs flow runs alone first and raises its
+    own error if it has one: the error is the one of running the upstairs
+    flow to the end before the downstairs one.  Neither flow keeps a
     conserved-quantity log here.
     """
     a0 = np.asarray(a0, dtype=float)
     steps = _step_count(dt, total_time)
-    up = _upstairs_states(res.sign, pullback(res, hamiltonian).grad, a0, dt, steps)
-    down = _downstairs_states(res, hamiltonian, rm.leaf_map(res, a0), dt, steps)
-    q = rm.leaf_map(res, up)
-    ok = casimir.in_leaf_domain(res, q, _AXIS_MARGIN)
-    if not ok.all():
-        raise DomainExit(dt * int(np.argmin(ok)))
-    return float(np.max(np.abs(q - down)))
+    grad = pullback(res, hamiltonian).grad
+    try:
+        states = _joint_states(res, hamiltonian, grad, a0, dt, steps)
+    except ResdpError as exc:
+        error = exc
+    else:
+        q = rm.leaf_map(res, states[:, :4])
+        ok = casimir.in_leaf_domain(res, q, _AXIS_MARGIN)
+        if not ok.all():
+            raise DomainExit(dt * int(np.argmin(ok)))
+        return float(np.max(np.abs(q - states[:, 4:])))
+    _upstairs_states(res.sign, grad, a0, dt, steps)
+    raise error
 
 
 def conservation_report(res, a0, t_grid):

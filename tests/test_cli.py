@@ -131,6 +131,18 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt,ratio", [("0.6", "1.66666666667"), ("0.4", "2.5")])
+    def test_fractional_flow_steps_rejected(self, dt, ratio, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = main(["flow", "downstairs", "--n", "1", "--m", "1", "--p0", "1,0,0",
+                     "--gamma", "1", "--dt", dt, "--T", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: need T / dt to be a whole number of steps, "
+                                f"not {ratio}, got --dt {dt} and --T 1.0\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "identity", "--samples", "10", "--seed", "-1"]) == 2
         capsys.readouterr()

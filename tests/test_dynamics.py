@@ -184,6 +184,18 @@ class TestFlowUpstairs:
         with pytest.raises(ValueError, match="finite T / dt"):
             dyn._step_count(dt, total)
 
+    @pytest.mark.parametrize("dt,total,ratio", [(0.6, 1.0, "1.66666666667"), (0.4, 1.0, "2.5"),
+                                                (1e-3, 1.0 + 1e-6, "1000.001")])
+    def test_fractional_step_count_rejected(self, dt, total, ratio):
+        # Rounding would integrate to 1.2, 0.8 and 1.0 instead of T.
+        with pytest.raises(ValueError, match=f"whole number of steps, not {ratio}$"):
+            dyn._step_count(dt, total)
+
+    @pytest.mark.parametrize("dt,total,steps", [(1e-3, 1.0, 1000), (1e-3, 0.3, 300),
+                                                (0.1, 0.3, 3), (1e-3, 1.0 + 1e-13, 1000)])
+    def test_whole_step_count_within_rounding(self, dt, total, steps):
+        assert dyn._step_count(dt, total) == steps
+
     def test_nan_state_rejected(self):
         # A NaN norm is not above the blowup bound, yet the state is no state.
         nan_after = ScalarField(lambda a: 0.0, lambda a: np.full(4, np.nan))

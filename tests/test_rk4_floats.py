@@ -2,8 +2,10 @@
 
 The reference keeps the array forms of both flows: the upstairs field as
 omega @ grad(a) and the downstairs field as an np.array, with every stage
-computed on numpy vectors.  The float loop must reproduce its states bit
-for bit, and its failures with the same exception and message.
+computed on numpy vectors, and it runs the upstairs flow to the end before
+the downstairs one.  The float loop, and the pushforward check's joint run
+of both flows, must reproduce its states bit for bit, and its failures with
+the same exception and message.
 """
 
 import numpy as np
@@ -60,7 +62,7 @@ def _array_downstairs(res, ham, p0, dt, steps):
             raise DomainExit(t)
         vx = 2.0 * mn * x
         vy = 2.0 * mn * y
-        vz = -mn * casimir._kummer_dz(res, c0, z)
+        vz = -mn * casimir._kummer_dz(res, c0)(z)
         return np.array([vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx])
 
     def accept(p, k):
@@ -133,3 +135,41 @@ def test_failing_pushforward_matches_array_rk4(n, m, seed, index, message):
     got = _outcome(dyn.pushforward_defect, res, ham, a0, 1e-3, 1.0)
     assert got == _outcome(_array_pushforward, res, ham, a0, 1e-3, 1000)
     assert got == (StepRejected, message)
+
+
+def test_downstairs_only_failure_matches_array_rk4():
+    # The upstairs flow runs to T alone; the downstairs one leaves its domain
+    # at a stage time, which the joint run must report unchanged.
+    res = Resonance(1, 2, "minus")
+    a0 = verification._pushforward_points(res, 3, 7)[0]
+    dyn.flow_upstairs(res.sign, dyn.pullback(res, _TILTED), a0, 1e-3, 1.0)
+    got = _outcome(dyn.pushforward_defect, res, _TILTED, a0, 1e-3, 1.0)
+    assert got == _outcome(_array_pushforward, res, _TILTED, a0, 1e-3, 1000)
+    assert got == (DomainExit, "trajectory left the domain at t=0.40750000000000003")
+
+
+def test_one_rk4_run_per_pushforward(monkeypatch):
+    starts = []
+    real_rk4 = dyn._rk4
+
+    def counted_rk4(rhs, y0, dt, steps, accept):
+        starts.append(y0)
+        return real_rk4(rhs, y0, dt, steps, accept)
+
+    monkeypatch.setattr(dyn, "_rk4", counted_rk4)
+    res = Resonance(3, 2)
+    a0 = verification._pushforward_points(res, 1, seed=1)[0]
+    assert dyn.pushforward_defect(res, _TILTED, a0, 1e-3, 1.0) < 1e-6
+    assert len(starts) == 1
+    assert starts[0] == a0.tolist() + rm.leaf_map(res, a0).tolist()
+    assert all(type(u) is float for u in starts[0])
+
+
+def test_off_domain_start_matches_array_rk4():
+    # a2 alone projects onto the z axis: the upstairs flow runs, the
+    # downstairs one cannot start.
+    res = Resonance(1, 1)
+    a0 = np.array([0.0, 0.0, 1.0, 0.0])
+    for fn, args in [(dyn.pushforward_defect, (1e-3, 0.1)), (_array_pushforward, (1e-3, 100))]:
+        with pytest.raises(OffDomain, match="^initial point outside the structure domain$"):
+            fn(res, _Z, a0, *args)
