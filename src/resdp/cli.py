@@ -32,9 +32,12 @@ def _parse_floats(text, count, name):
     if len(parts) != count:
         raise BadParams(f"{name} needs {count} comma-separated numbers, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise BadParams(f"cannot parse {name}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise BadParams(f"{name} needs finite numbers, got {text!r}")
+    return values
 
 
 def _resonance(args):
@@ -132,8 +135,11 @@ def _cmd_flow(args):
         _write_trajectory_csv(args.out, traj, ["x1", "y1", "x2", "y2"])
     else:
         p0 = _parse_floats(args.p0, 3, "--p0")
-        ham = dynamics.DownstairsHamiltonian(alpha=args.alpha, beta=args.beta,
-                                             gamma=args.gamma)
+        coeffs = {k: getattr(args, k) for k in ("alpha", "beta", "gamma")}
+        for k, v in coeffs.items():
+            if not np.isfinite(v):
+                raise BadParams(f"need a finite --{k}, got {v}")
+        ham = dynamics.DownstairsHamiltonian(**coeffs)
         traj = dynamics.flow_downstairs(res, ham, p0, args.dt, args.T)
         _write_trajectory_csv(args.out, traj, ["x", "y", "z"])
     print(f"wrote {args.out} ({len(traj.times)} rows)")

@@ -6,12 +6,15 @@ and the opposite sign for "minus".  The Hamiltonian vector field is the one
 with d/dt F = {H, F}, under which the circle momentum generates exactly the
 resonant circle action (e^{i n t} a1, e^{i m t} a2) for both signatures.
 
-Every flow runs through one classical 4th-order Runge-Kutta loop on a list
-of Python floats, so a stage makes no numpy call; the upstairs field is a
-signed permutation of the gradient.  Each flow's field and step guard are
-built once per run, and the pushforward check integrates both flows as one
-7-float state (x1, y1, x2, y2, x, y, z).  The public flows measure
-conservation, never assume it.
+Every flow runs through one integration loop, _integrate, on a tuple of
+Python floats, and each flow writes out its own classical 4th-order Runge-Kutta
+step on its floats, so a stage makes no numpy call and builds no list; the
+upstairs field is a signed permutation of the gradient.  Each flow's field
+and step guard are built once per run.  The pushforward check integrates
+both flows as one 7-float state (x1, y1, x2, y2, x, y, z): the state is
+block-diagonal, so its step is the upstairs step followed by the
+downstairs one, and each component keeps its float operations.  The public
+flows measure conservation, never assume it.
 """
 
 import math
@@ -108,34 +111,24 @@ def canonical_bracket(sign, f, g, a):
     return float(f.gradient(a) @ poisson_tensor(sign) @ g.gradient(a))
 
 
-def _rk4(rhs, y0, dt, steps, accept):
-    """Classical 4th-order one-step integration; returns the (steps + 1, d) states.
+def _integrate(step, y0, steps):
+    """The one integration loop: the states y0, step(1, *y0), ... as a (steps + 1, d) array.
 
-    The state is a list of floats and rhs(t, y) returns a sequence of floats;
-    each component sees the operations of y + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
-    rhs receives the stage time, so a stage that leaves its domain can report
-    when.  accept(y, k) runs on the state after step k and raises to reject
-    it.  An OverflowError inside a step becomes StepRejected.
+    step(k, *y) takes the state after step k - 1 as floats, returns the one
+    after step k and raises to reject it.  Each flow writes out its own RK4
+    step, so every component sees the operations of y + (dt/6)(k1 + 2 k2 +
+    2 k3 + k4).  An OverflowError inside a step becomes StepRejected.
     """
     out = [y0]
     y = y0
-    half = 0.5 * dt
-    sixth = dt / 6.0
     k = 0
     try:
-        for k in range(steps):
-            t = k * dt
-            k1 = rhs(t, y)
-            k2 = rhs(t + half, [u + half * v for u, v in zip(y, k1)])
-            k3 = rhs(t + half, [u + half * v for u, v in zip(y, k2)])
-            k4 = rhs((k + 1) * dt, [u + dt * v for u, v in zip(y, k3)])
-            y = [u + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-                 for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)]
-            accept(y, k + 1)
+        for k in range(1, steps + 1):
+            y = step(k, *y)
             out.append(y)
     except OverflowError as exc:
         # Python float and complex powers raise where numpy would give inf.
-        raise StepRejected(f"arithmetic overflow in step {k + 1}: {exc}") from exc
+        raise StepRejected(f"arithmetic overflow in step {k}: {exc}") from exc
     return np.array(out, dtype=float)
 
 
@@ -156,52 +149,52 @@ def _guard_norm(norm, k):
         raise StepRejected(f"state norm {norm:g} beyond {_BLOWUP_NORM:g} at step {k}")
 
 
-def _upstairs_parts(sign, grad):
-    """Field and step guard of the flow whose vector field is omega @ grad(a).
+def _upstairs_step(sign, grad, dt):
+    """RK4 step of the flow whose vector field is omega @ grad(a), for _integrate.
 
-    omega @ grad(a) is a signed permutation of the gradient.  The field
-    takes the stage time, which it ignores, and the four coordinates as a
-    sequence of floats, which it hands to grad; the guard takes them with
-    the step number.
+    omega @ grad(a) is the signed permutation (-g1, g0, -/+ g3, +/- g2) of
+    the gradient, which grad returns for the four coordinates as a tuple of
+    floats.  The step rejects a state whose norm passes _BLOWUP_NORM.
     """
     ps.check_sign(sign)
     s = 1.0 if sign == PLUS else -1.0
     ms = -s
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def field(t, a):
-        g0, g1, g2, g3 = grad(a)
-        return (-g1, g0, ms * g3, s * g2)
-
-    def guard(a, k):
-        x1, y1, x2, y2 = a
+    def step(k, x1, y1, x2, y2):
+        g0, g1, g2, g3 = grad((x1, y1, x2, y2))
+        a0, a1, a2, a3 = -g1, g0, ms * g3, s * g2
+        g0, g1, g2, g3 = grad((x1 + half * a0, y1 + half * a1, x2 + half * a2, y2 + half * a3))
+        b0, b1, b2, b3 = -g1, g0, ms * g3, s * g2
+        g0, g1, g2, g3 = grad((x1 + half * b0, y1 + half * b1, x2 + half * b2, y2 + half * b3))
+        c0, c1, c2, c3 = -g1, g0, ms * g3, s * g2
+        g0, g1, g2, g3 = grad((x1 + dt * c0, y1 + dt * c1, x2 + dt * c2, y2 + dt * c3))
+        x1 = x1 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 - g1)
+        y1 = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + g0)
+        x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + ms * g3)
+        y2 = y2 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + s * g2)
         _guard_norm(math.sqrt(sum((x1 * x1, y1 * y1, x2 * x2, y2 * y2))), k)
+        return x1, y1, x2, y2
 
-    return field, guard
-
-
-def _upstairs_states(sign, grad, a0, dt, steps):
-    """RK4 states of the flow whose vector field is omega @ grad(a)."""
-    field, guard = _upstairs_parts(sign, grad)
-    return _rk4(field, np.asarray(a0, dtype=float).tolist(), dt, steps, guard)
+    return step
 
 
 def flow_upstairs(sign, hamiltonian, a0, dt, total_time):
     """Hamiltonian flow from hamiltonian.grad; one hamiltonian.fn call on the states logs H."""
     steps = _step_count(dt, total_time)
-    states = _upstairs_states(sign, hamiltonian.grad, a0, dt, steps)
+    states = _integrate(_upstairs_step(sign, hamiltonian.grad, dt),
+                        np.asarray(a0, dtype=float).tolist(), steps)
     times = dt * np.arange(steps + 1)
     return Trajectory(times=times, states=states, conserved={"H": hamiltonian.fn(states)})
 
 
-def _downstairs_parts(res, hamiltonian, p0, dt):
-    """Field and step guard of mn grad G x grad H on the leaf through p0.
+def _downstairs_field(res, hamiltonian, p0):
+    """The field mn grad G x grad H on the leaf through p0, and the domain test.
 
     G = x^2 + y^2 - K(C0, z) is the Kummer polynomial of that leaf, so C0 is
     solved once and mn grad G is the structure field on it.  The field
     takes the stage time and x, y, z as floats, and raises DomainExit at
-    that time outside the structure domain; the guard takes (x, y, z) as a
-    sequence with the step number, rejects a blown-up state, and raises
-    DomainExit at its step time.
+    that time outside the structure domain.
     """
     p0 = np.asarray(p0, dtype=float)
     inside = casimir.leaf_domain_test(res, _AXIS_MARGIN)
@@ -218,21 +211,35 @@ def _downstairs_parts(res, hamiltonian, p0, dt):
         vx = two_mn * x
         vy = two_mn * y
         vz = neg_mn * dk_dz(z)
-        return (vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx)
+        return vy * hz - vz * hy, vz * hx - vx * hz, vx * hy - vy * hx
 
-    def guard(p, k):
-        x, y, z = p
+    return field, inside
+
+
+def _downstairs_step(res, hamiltonian, p0, dt):
+    """RK4 step of the downstairs flow from p0, for _integrate.
+
+    The step rejects a blown-up state and raises DomainExit at the time of
+    the stage or the step that leaves the structure domain.
+    """
+    field, inside = _downstairs_field(res, hamiltonian, p0)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(k, x, y, z):
+        t = (k - 1) * dt
+        ax, ay, az = field(t, x, y, z)
+        bx, by, bz = field(t + half, x + half * ax, y + half * ay, z + half * az)
+        cx, cy, cz = field(t + half, x + half * bx, y + half * by, z + half * bz)
+        dx, dy, dz = field(k * dt, x + dt * cx, y + dt * cy, z + dt * cz)
+        x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
+        y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+        z = z + sixth * (az + 2.0 * bz + 2.0 * cz + dz)
         _guard_norm(abs(x) + abs(y) + abs(z), k)
         if not inside(x, y, z):
             raise DomainExit(k * dt)
+        return x, y, z
 
-    return field, guard
-
-
-def _downstairs_states(res, hamiltonian, p0, dt, steps):
-    """RK4 states of mn grad G x grad H from p0, with the domain and blowup guards."""
-    field, guard = _downstairs_parts(res, hamiltonian, p0, dt)
-    return _rk4(lambda t, p: field(t, *p), np.asarray(p0, dtype=float).tolist(), dt, steps, guard)
+    return step
 
 
 def flow_downstairs(res, hamiltonian, p0, dt, total_time):
@@ -243,46 +250,37 @@ def flow_downstairs(res, hamiltonian, p0, dt, total_time):
     the time of the offending stage or step rather than extrapolating.
     """
     steps = _step_count(dt, total_time)
-    out = _downstairs_states(res, hamiltonian, p0, dt, steps)
+    out = _integrate(_downstairs_step(res, hamiltonian, p0, dt),
+                     np.asarray(p0, dtype=float).tolist(), steps)
     times = dt * np.arange(steps + 1)
     cvals = casimir.solve_casimir(res, out).value
     hvals = hamiltonian.value(out)
     return Trajectory(times=times, states=out, conserved={"C": cvals, "H": hvals})
 
 
-def _joint_states(res, hamiltonian, grad, a0, dt, steps):
-    """RK4 states (x1, y1, x2, y2, x, y, z) of both flows, one run from a0 and leaf_map(a0)."""
-    up_field, up_guard = _upstairs_parts(res.sign, grad)
-    p0 = rm.leaf_map(res, a0)
-    down_field, down_guard = _downstairs_parts(res, hamiltonian, p0, dt)
-
-    def rhs(t, y):
-        x1, y1, x2, y2, x, yy, z = y
-        return up_field(t, (x1, y1, x2, y2)) + down_field(t, x, yy, z)
-
-    def accept(y, k):
-        up_guard(y[:4], k)
-        down_guard(y[4:], k)
-
-    return _rk4(rhs, a0.tolist() + p0.tolist(), dt, steps, accept)
-
-
 def pushforward_defect(res, hamiltonian, a0, dt, total_time):
     """Worst gap between reduced upstairs flow and the downstairs flow.
 
     Integrates the pulled-back Hamiltonian upstairs and the downstairs flow
-    from the projected initial point as one 7-float state, pushes every
-    upstairs state through the leaf map in one batch, and compares.  When
-    the joint run raises, the upstairs flow runs alone first and raises its
-    own error if it has one: the error is the one of running the upstairs
-    flow to the end before the downstairs one.  Neither flow keeps a
-    conserved-quantity log here.
+    from the projected initial point as one 7-float state, whose step is
+    the upstairs step followed by the downstairs one, pushes every upstairs
+    state through the leaf map in one batch, and compares.  When the joint
+    run raises, the upstairs flow runs alone first and raises its own error
+    if it has one: the error is the one of running the upstairs flow to the
+    end before the downstairs one.  Neither flow keeps a conserved-quantity
+    log here.
     """
     a0 = np.asarray(a0, dtype=float)
     steps = _step_count(dt, total_time)
-    grad = pullback(res, hamiltonian).grad
+    up = _upstairs_step(res.sign, pullback(res, hamiltonian).grad, dt)
     try:
-        states = _joint_states(res, hamiltonian, grad, a0, dt, steps)
+        p0 = rm.leaf_map(res, a0)
+        down = _downstairs_step(res, hamiltonian, p0, dt)
+
+        def step(k, x1, y1, x2, y2, x, y, z):
+            return up(k, x1, y1, x2, y2) + down(k, x, y, z)
+
+        states = _integrate(step, a0.tolist() + p0.tolist(), steps)
     except ResdpError as exc:
         error = exc
     else:
@@ -291,7 +289,7 @@ def pushforward_defect(res, hamiltonian, a0, dt, total_time):
         if not ok.all():
             raise DomainExit(dt * int(np.argmin(ok)))
         return float(np.max(np.abs(q - states[:, 4:])))
-    _upstairs_states(res.sign, grad, a0, dt, steps)
+    _integrate(up, a0.tolist(), steps)
     raise error
 
 

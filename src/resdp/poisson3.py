@@ -60,12 +60,19 @@ def central_difference(fn, p, h):
     """
     p = np.asarray(p, dtype=float)
     lead, d = p.shape[:-1], p.shape[-1]
+    vals = fn(central_stencil(p, h))
     h = np.broadcast_to(np.asarray(h, dtype=float), lead).reshape(-1)
-    step = np.eye(d) * h[:, None, None]
-    vals = fn((p.reshape(-1, 1, d) + np.stack([step, -step])).reshape(-1, d))
     vals = vals.reshape((2, -1, d) + vals.shape[1:])
     diff = (vals[0] - vals[1]) / (2.0 * h).reshape((-1,) + (1,) * (vals.ndim - 2))
     return np.moveaxis(diff, 1, -1).reshape(lead + vals.shape[3:] + (d,))
+
+
+def central_stencil(p, h):
+    """The points p + h e_i, then p - h e_i, of central_difference as one batch (2 k d, d)."""
+    p = np.asarray(p, dtype=float)
+    d = p.shape[-1]
+    step = np.eye(d) * np.broadcast_to(np.asarray(h, dtype=float), p.shape[:-1]).reshape(-1, 1, 1)
+    return (p.reshape(-1, 1, d) + np.stack([step, -step])).reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -219,29 +226,38 @@ def bivector_matrix(structure, p):
     ])
 
 
-def resonance_structure(res):
+def resonance_structure(res, levels=None):
     """The Poisson structure of the resonance: field m*n times the leaf field.
 
     Domain: off the z axis for the bounded family; the open set
     n^m m^n (x^2+y^2) < z^(n+m) for the unbounded one.  On the level set of
     C the field is v = mn (2x, 2y, -K_z(C, z)), with K the Kummer product,
-    so its closed-form Jacobian, from one batched Casimir solve, is
+    so its closed-form Jacobian is
 
         J = mn [[2, 0, 0], [0, 2, 0],
                 [-K_zc C_x, -K_zc C_y, -(K_zz + K_zc C_z)]].
+
+    The field and the Jacobian read C from one batched Casimir solve per
+    call.  With levels, the Casimir values of the points the structure is
+    then asked about (in their batch shape, solved by the caller), they
+    read it from levels and solve nothing, so one solve can serve a field,
+    its Jacobian and a finite-difference stencil.
     """
     mn = float(res.mn)
 
+    def level(p):
+        return casimir.solve_casimir(res, p).value if levels is None else levels
+
     def fld(p):
-        return mn * casimir.leaf_field(res, p)
+        return mn * casimir.field_on_level(res, p, level(p))
 
     def jacobian(p):
-        ev = casimir.solve_casimir(res, p)
+        c = level(p)
         x, y, z = np.moveaxis(p, -1, 0)
-        k_zz, k_zc = casimir.kummer_second_derivatives(res, x * x + y * y, ev.value, z)
+        k_zz, k_zc = casimir.kummer_second_derivatives(res, x * x + y * y, c, z)
         jac = np.zeros(p.shape + (3,))
         jac[..., 0, 0] = jac[..., 1, 1] = 2.0 * mn
-        jac[..., 2, :] = -mn * np.asarray(k_zc)[..., None] * ev.gradient
+        jac[..., 2, :] = -mn * np.asarray(k_zc)[..., None] * casimir.gradient_on_level(res, p, c)
         jac[..., 2, 2] -= mn * k_zz
         return jac
 

@@ -13,6 +13,8 @@ from sample_leaf_points, which draws on the Kummer shapes themselves, keeps
 the points a fiber draw's distance from the z axis (without that floor the
 finite-difference cross-check reads up to 1.8e-2 near the axis of 2:-4
 minus), and keeps every finite-difference stencil point in the domain.
+Each check that reads Casimir values solves every point it needs, stencils
+included, in one solve_casimir call.
 """
 
 from dataclasses import dataclass, field
@@ -124,31 +126,23 @@ def check_identity(res, samples=2000, seed=42, tol=None):
 def check_casimir(res, samples=400, seed=42, tol=None):
     """Closed-form oracles, composition with the leaf map, gradient vs FD.
 
-    Every detail solves its points in one batch.
+    Every point of every detail, finite-difference stencil included, is
+    solved in one batch.
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
-    details = []
-    rel_tol = _tol(tol, 1e-12)
-
+    oracles = []  # (name, points, closed-form values, extra detail fields)
     if res.sign == PLUS:
         rho2 = rng.uniform(0.05, 4.0, size=max(samples // 4, 16))
-        got = casimir.solve_casimir(res, np.sqrt(rho2)[:, None] * [1.0, 0.0, 0.0]).value
         # Python float powers: numpy's array power rounds differently.
         scale = float(res.n) ** res.m * float(res.m) ** res.n
         want = np.array([(scale * r2) ** (1.0 / (res.n + res.m)) for r2 in rho2.tolist()])
-        details.append({"name": "closed_form_equator",
-                        "defect": float(np.max(np.abs(got - want) / want)),
-                        "tolerance": rel_tol})
+        oracles.append(("closed_form_equator", np.sqrt(rho2)[:, None] * [1.0, 0.0, 0.0], want, {}))
     if res.n == 1 and res.m == 1:
         pts = _leaf_points(res, max(samples // 4, 16), rng)
-        got = casimir.solve_casimir(res, pts).value
         x, y, z = pts.T
         want = np.sqrt(x * x + y * y + z * z if res.sign == PLUS else z * z - x * x - y * y)
-        details.append({"name": "closed_form_quadric",
-                        "defect": float(np.max(np.abs(got - want) / want)),
-                        "tolerance": rel_tol, "points": len(pts)})
-
+        oracles.append(("closed_form_quadric", pts, want, {"points": len(pts)}))
     if res.sign == PLUS:
         a = sample_in_domain(res, samples, np.random.default_rng(seed + 1))
     else:
@@ -162,26 +156,43 @@ def check_casimir(res, samples=400, seed=42, tol=None):
     # The projected point can fall off the open set at rounding level.
     inside = casimir.in_leaf_domain(res, p)
     p, r = p[inside], rm.circle_momentum(res, a[inside])
-    ev = casimir.solve_casimir(res, p)
+    pts = _leaf_points(res, max(samples // 4, 16), np.random.default_rng(seed + 2))
+    h = 1e-6 * (1.0 + np.linalg.norm(pts, axis=-1))
+    *solved, (value, residual), (c_pts, _), (c_fd, _) = _solve_blocks(
+        res, *(o[1] for o in oracles), p, pts, poisson3.central_stencil(pts, h))
+    details = [{"name": name, "defect": float(np.max(np.abs(got - want) / want)),
+                "tolerance": _tol(tol, 1e-12), **extra}
+               for (name, _, want, extra), (got, _) in zip(oracles, solved)]
     rho2 = p[:, 0] ** 2 + p[:, 1] ** 2
     # Residual floor: the root granularity |d/dr| * ulp(value).
-    slope = np.abs(rho2 * (res.m / (ev.value + p[:, 2]) + res.n / (ev.value - p[:, 2])))
-    bound = np.maximum(1e-13 * (1.0 + rho2), 4.0 * slope * np.finfo(float).eps * ev.value)
+    slope = np.abs(rho2 * (res.m / (value + p[:, 2]) + res.n / (value - p[:, 2])))
+    bound = np.maximum(1e-13 * (1.0 + rho2), 4.0 * slope * np.finfo(float).eps * value)
     details.append({"name": "composition_recovers_momentum",
-                    "defect": float(np.max(np.abs(ev.value - r) / np.abs(r), initial=0.0)),
+                    "defect": float(np.max(np.abs(value - r) / np.abs(r), initial=0.0)),
                     "tolerance": _tol(tol, 1e-10)})
     details.append({"name": "solver_residual_vs_bound",
-                    "defect": float(np.max(ev.residual / bound, initial=0.0)),
+                    "defect": float(np.max(residual / bound, initial=0.0)),
                     "tolerance": 1.0})
 
-    pts = _leaf_points(res, max(samples // 4, 16), np.random.default_rng(seed + 2))
-    grad = casimir.solve_casimir(res, pts).gradient
-    fd = poisson3.central_difference(lambda q: casimir.solve_casimir(res, q).value, pts,
-                                     1e-6 * (1.0 + np.linalg.norm(pts, axis=-1)))
+    grad = casimir.gradient_on_level(res, pts, c_pts)
+    # The stencil's values were solved above with the rest.
+    fd = poisson3.central_difference(lambda q: c_fd, pts, h)
     worst_grad = np.max(np.linalg.norm(grad - fd, axis=-1) / np.linalg.norm(fd, axis=-1))
     details.append({"name": "gradient_vs_fd", "defect": float(worst_grad),
                     "tolerance": _tol(tol, 1e-6), "points": len(pts)})
     return _assemble("casimir", res, samples, seed, details)
+
+
+def _solve_blocks(res, *blocks):
+    """(value, residual) of every point block (..., 3), shaped as it, from one solve_casimir call.
+
+    The solver's rows are independent, so each point keeps the bits of a
+    solve of its own block.
+    """
+    ev = casimir.solve_casimir(res, np.concatenate([np.reshape(b, (-1, 3)) for b in blocks]))
+    ends = np.cumsum([np.size(b) // 3 for b in blocks])[:-1]
+    return [(v.reshape(np.shape(b)[:-1]), e.reshape(np.shape(b)[:-1])) for v, e, b
+            in zip(np.split(ev.value, ends), np.split(ev.residual, ends), blocks)]
 
 
 def _leaf_points(res, count, rng):
@@ -353,46 +364,60 @@ def check_dual_pair(res, samples=60, seed=42, tol=None):
 
 
 def check_leaf_correspondence(res, samples=60, seed=42, tol=None):
+    """|Casimir(leaf_map(a)) - c| over fiber samples at each level c of _LEVELS, in one solve."""
     _require_samples(samples)
-    details = []
     per_level = max(1, samples // len(_LEVELS))
-    total = 0
-    for i, c in enumerate(_LEVELS):
-        out = dual_pair.leaf_correspondence_check(res, c, per_level, seed=seed + i)
-        details.append({"name": f"level_c_{c:g}", "defect": out["max_deviation"],
-                        "tolerance": _tol(tol, 1e-9) * (1.0 + c)})
-        total += out["samples"]
-    return _assemble("leaf-correspondence", res, total, seed, details)
+    leaves = [rm.leaf_map(res, dual_pair.fiber_sample(res, c, per_level, seed=seed + i))
+              for i, c in enumerate(_LEVELS)]
+    details = [{"name": f"level_c_{c:g}", "defect": float(np.max(np.abs(value - c), initial=0.0)),
+                "tolerance": _tol(tol, 1e-9) * (1.0 + c)}
+               for c, (value, _) in zip(_LEVELS, _solve_blocks(res, *leaves))]
+    return _assemble("leaf-correspondence", res, sum(len(p) for p in leaves), seed, details)
 
 
 def check_integrability(res, samples=12, seed=42, tol=None):
     """Helicity v . curl v from the closed-form field Jacobian, cross-checked by FD."""
     _require_samples(samples)
-    structure = poisson3.resonance_structure(res)
-    pts = sample_leaf_points(res, samples, seed)
-    worst = np.max(poisson3.integrability_defect(structure, pts))
+    on_pts, on_stencil, pts = _solved_structures(res, samples, seed)
+    worst = np.max(poisson3.integrability_defect(on_pts, pts))
     details = [{"name": "helicity", "defect": float(worst), "tolerance": _tol(tol, 1e-8)},
-               _field_jacobian_vs_fd(structure, pts, tol)]
+               _field_jacobian_vs_fd(on_pts, on_stencil, pts, tol)]
     return _assemble("integrability", res, len(pts), seed, details)
 
 
 def check_jacobi(res, samples=6, seed=42, tol=None):
     """Cyclic sum of the coordinate brackets from the closed-form Jacobian, cross-checked by FD."""
     _require_samples(samples)
-    structure = poisson3.resonance_structure(res)
     fx, fy, fz = poisson3.coordinate_fields()
-    pts = sample_leaf_points(res, samples, seed)
-    worst = np.max(poisson3.jacobi_defect(structure, fx, fy, fz, pts))
+    on_pts, on_stencil, pts = _solved_structures(res, samples, seed)
+    worst = np.max(poisson3.jacobi_defect(on_pts, fx, fy, fz, pts))
     details = [{"name": "jacobi_cyclic_sum", "defect": float(worst),
                 "tolerance": _tol(tol, 1e-5)},
-               _field_jacobian_vs_fd(structure, pts, tol)]
+               _field_jacobian_vs_fd(on_pts, on_stencil, pts, tol)]
     return _assemble("jacobi", res, len(pts), seed, details)
 
 
-def _field_jacobian_vs_fd(structure, pts, tol):
-    """Detail: worst |J_fd - J| / |J| (Frobenius) of the Richardson FD against the closed form."""
-    jac = structure.jacobian_at(pts)
-    fd = poisson3.fd_jacobian(structure, pts)
+def _solved_structures(res, samples, seed):
+    """The resonance structure at sample_leaf_points and at their fd_stencil, and the points.
+
+    One solve_casimir call gives the levels of both point sets, which the
+    two structures read instead of solving.
+    """
+    pts = sample_leaf_points(res, samples, seed)
+    stencil = poisson3.fd_stencil(pts)
+    (c_pts, _), (c_stencil, _) = _solve_blocks(res, pts, stencil)
+    return (poisson3.resonance_structure(res, c_pts),
+            poisson3.resonance_structure(res, c_stencil), pts)
+
+
+def _field_jacobian_vs_fd(on_pts, on_stencil, pts, tol):
+    """Detail: worst |J_fd - J| / |J| (Frobenius) of the Richardson FD against the closed form.
+
+    on_pts and on_stencil are the structure on the levels of pts and of
+    their fd_stencil.
+    """
+    jac = on_pts.jacobian_at(pts)
+    fd = poisson3.fd_jacobian(on_stencil, pts)
     worst = np.max(np.linalg.norm(fd - jac, axis=(-2, -1)) / np.linalg.norm(jac, axis=(-2, -1)))
     return {"name": "field_jacobian_vs_fd", "defect": float(worst),
             "tolerance": _tol(tol, 1e-6)}

@@ -143,6 +143,28 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["casimir", "--point", "1,0,nan"], "--point needs finite numbers, got '1,0,nan'"),
+        (["casimir", "--point", "inf,0,1"], "--point needs finite numbers, got 'inf,0,1'"),
+        (["flow", "upstairs", "--a0", "nan,0,1,0"],
+         "--a0 needs finite numbers, got 'nan,0,1,0'"),
+        (["flow", "downstairs", "--p0", "1,-inf,0"], "--p0 needs finite numbers, got '1,-inf,0'"),
+        (["flow", "downstairs", "--p0", "1,0,0", "--alpha", "nan"],
+         "need a finite --alpha, got nan"),
+        (["flow", "downstairs", "--p0", "1,0,0", "--beta", "inf"],
+         "need a finite --beta, got inf"),
+        (["flow", "downstairs", "--p0", "1,0,0", "--gamma=-inf"],
+         "need a finite --gamma, got -inf"),
+    ])
+    def test_non_finite_inputs_rejected(self, argv, message, tmp_path, capsys):
+        # These exited 3 with a domain exit or a norm blowup at t = 0.0005 or
+        # step 1, or with an off-domain point.
+        out = tmp_path / "f.csv"
+        assert main(argv + (["--out", str(out)] if argv[0] == "flow" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "identity", "--samples", "10", "--seed", "-1"]) == 2
         capsys.readouterr()

@@ -148,21 +148,38 @@ def test_downstairs_only_failure_matches_array_rk4():
     assert got == (DomainExit, "trajectory left the domain at t=0.40750000000000003")
 
 
-def test_one_rk4_run_per_pushforward(monkeypatch):
+def _counted_integrations(monkeypatch):
+    """The start states of every run of dynamics._integrate, in call order."""
     starts = []
-    real_rk4 = dyn._rk4
+    real_integrate = dyn._integrate
 
-    def counted_rk4(rhs, y0, dt, steps, accept):
+    def counted_integrate(step, y0, steps):
         starts.append(y0)
-        return real_rk4(rhs, y0, dt, steps, accept)
+        return real_integrate(step, y0, steps)
 
-    monkeypatch.setattr(dyn, "_rk4", counted_rk4)
+    monkeypatch.setattr(dyn, "_integrate", counted_integrate)
+    return starts
+
+
+def test_one_rk4_run_per_pushforward(monkeypatch):
+    starts = _counted_integrations(monkeypatch)
     res = Resonance(3, 2)
     a0 = verification._pushforward_points(res, 1, seed=1)[0]
     assert dyn.pushforward_defect(res, _TILTED, a0, 1e-3, 1.0) < 1e-6
     assert len(starts) == 1
     assert starts[0] == a0.tolist() + rm.leaf_map(res, a0).tolist()
     assert all(type(u) is float for u in starts[0])
+
+
+def test_flows_run_through_integrate(monkeypatch):
+    starts = _counted_integrations(monkeypatch)
+    res = Resonance(3, 2)
+    a0 = verification._pushforward_points(res, 1, seed=1)[0]
+    p0 = rm.leaf_map(res, a0)
+    up = dyn.flow_upstairs(res.sign, dyn.pullback(res, _TILTED), a0, 1e-3, 0.1)
+    down = dyn.flow_downstairs(res, _TILTED, p0, 1e-3, 0.1)
+    assert starts == [a0.tolist(), p0.tolist()]
+    assert up.states.shape == (101, 4) and down.states.shape == (101, 3)
 
 
 def test_off_domain_start_matches_array_rk4():

@@ -231,6 +231,58 @@ class TestIntegrabilityAndJacobi:
         assert max(defects.values()) <= 1e-8
 
 
+class TestOneSolvePerItem:
+    """Each check that reads Casimir values solves every point it needs in one call."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        shapes = []
+        real_solve = casimir.solve_casimir
+
+        def counted_solve(res, p):
+            shapes.append(np.shape(p))
+            return real_solve(res, p)
+
+        monkeypatch.setattr(casimir, "solve_casimir", counted_solve)
+        return shapes
+
+    @pytest.mark.parametrize("cell", [(1, 1, "plus"), (3, 2, "plus"), (2, 3, "minus")], ids=str)
+    @pytest.mark.parametrize("check", ["casimir", "integrability", "jacobi",
+                                       "leaf-correspondence"])
+    def test_one_solve_per_check(self, solves, check, cell):
+        assert vf.CHECKS[check](Resonance(*cell), seed=42).passed
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_one_solve_per_pushforward_start(self, solves, samples):
+        assert vf.check_pushforward(Resonance(3, 2), samples=samples, seed=1).passed
+        assert len(solves) == samples
+
+    @pytest.mark.parametrize("res", ALL_CELLS, ids=str)
+    def test_details_match_the_public_path(self, res):
+        # The same computations through the public functions, which solve
+        # their points on every call.
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        structure = poisson3.resonance_structure(res)
+        fx, fy, fz = poisson3.coordinate_fields()
+        for check, samples, defect in [
+                ("integrability", 12, lambda p: poisson3.integrability_defect(structure, p)),
+                ("jacobi", 6, lambda p: poisson3.jacobi_defect(structure, fx, fy, fz, p))]:
+            pts = vf.sample_leaf_points(res, samples, 1)
+            jac = structure.jacobian_at(pts)
+            fd = poisson3.fd_jacobian(structure, pts)
+            want = [np.max(defect(pts)), np.max(np.linalg.norm(fd - jac, axis=(-2, -1))
+                                                / np.linalg.norm(jac, axis=(-2, -1)))]
+            got = [d["defect"] for d in vf.CHECKS[check](res, seed=1).details]
+            assert bits(got) == bits(want), check
+        want = [dp.leaf_correspondence_check(res, c, 20, seed=1 + i)["max_deviation"]
+                for i, c in enumerate(vf._LEVELS)]
+        got = [d["defect"] for d in vf.check_leaf_correspondence(res, seed=1).details]
+        assert bits(got) == bits(want)
+
+
 class TestDualPairCheck:
     @pytest.mark.parametrize("seed", [72, 95, 162])
     def test_four_four_minus_seeds(self, seed):
