@@ -19,12 +19,13 @@ deterministic, and each row's float operations do not depend on the other
 rows, so a point's bits are the same alone and in any batch.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import phase_space as ps
-from .errors import NoConvergence, OffDomain
+from .errors import BadParams, NoConvergence, OffDomain
 from .phase_space import PLUS, int_pow
 
 _MAX_ITER = 200
@@ -50,6 +51,20 @@ def kummer_product(res, c, z):
     """
     fb = c - z if res.sign == PLUS else z - c
     return int_pow((c + z) / res.n, res.m) * int_pow(fb / res.m, res.n)
+
+
+def kummer_scale(res):
+    """n^m m^n as a float, from the exact integer product.
+
+    Raises BadParams when it does not fit a float; the log bound refuses a
+    huge order before its integer product is built.
+    """
+    if res.m * math.log2(res.n) + res.n * math.log2(res.m) < 1100.0:
+        try:
+            return float(res.n ** res.m * res.m ** res.n)
+        except OverflowError:
+            pass
+    raise BadParams(f"n^m m^n of the {res.n}:{res.m} resonance overflows a float")
 
 
 def in_leaf_domain(res, p, axis_margin=0.0, bound_margin=1.0):
@@ -79,7 +94,7 @@ def leaf_domain_test(res, axis_margin=0.0, bound_margin=1.0):
             tau = axis_margin * (1.0 + abs(x) + abs(y) + abs(z))
             return x * x + y * y > tau * tau
         return inside
-    scale = float(res.n ** res.m * res.m ** res.n)
+    scale = kummer_scale(res)
     order = res.n + res.m
 
     def inside(x, y, z):

@@ -8,6 +8,7 @@ with JSON reports).  Exit codes: 0 success or pass, 1 verification failure,
 
 import argparse
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -41,7 +42,10 @@ def _parse_floats(text, count, name):
 
 
 def _resonance(args):
-    return Resonance(args.n, args.m, args.sign)
+    try:
+        return Resonance(args.n, args.m, args.sign)
+    except ValueError as exc:
+        raise BadParams(str(exc)) from None
 
 
 def _add_resonance_flags(parser):
@@ -244,9 +248,27 @@ def _parser():
     return parser
 
 
+# argparse takes a token that starts with "-" as an option's value only in
+# the forms -N and -N.N; a value such as -1,0,1 or -1e-3 is joined to its
+# option as --opt=value.  Every long option but --help takes a value.
+_VALUE_OPTION = re.compile(r"--(?!help$)[^=]+")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_negative_values(argv):
+    out = []
+    for token in argv:
+        if (out and _VALUE_OPTION.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(token)
+                and "--" not in out):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else int(code)

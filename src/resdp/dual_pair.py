@@ -16,15 +16,16 @@ No SVD or rank decision enters; both normals are nonzero on the domain
 In exact arithmetic W k = -grad R (R generates the circle action), so the
 distance is the rounding of the two normalizations.  The kernel residual
 checks the closed forms independently: d(leaf_map) must annihilate k, and
-the analytic and finite-difference dR an orthonormal basis of (grad R)-perp.
+the analytic and finite-difference dR (poisson3.central_difference along
+the basis) an orthonormal basis of (grad R)-perp.
 Every function here works on batches of points.
 """
 
 import numpy as np
 
 from . import phase_space as ps
-from . import casimir, resonance_maps as rm
-from .errors import EmptyFiber, OffDomain, ZeroPoint
+from . import casimir, poisson3, resonance_maps as rm
+from .errors import BadParams, EmptyFiber, OffDomain, ZeroPoint
 from .phase_space import PLUS
 
 
@@ -38,19 +39,6 @@ def momentum_kernel_basis(res, a):
     if np.any(np.all(grad == 0.0, axis=-1)):
         raise ZeroPoint("momentum differential vanishes only at the origin")
     return np.linalg.svd(grad[..., None, :])[2][..., 1:, :]
-
-
-def _fd_momentum_differential(res, a, u):
-    """Central difference of circle_momentum at points a along directions u.
-
-    The momentum is quadratic, so the central difference carries no
-    truncation error at any step; a wide step keeps the rounding noise
-    (about eps * R / h, with h = 1e-3 (1 + |a|)) far below the dual-pair
-    tolerance.
-    """
-    h = 1e-3 * (1.0 + np.linalg.norm(a, axis=-1))
-    step = h[..., None] * u
-    return (rm.circle_momentum(res, a + step) - rm.circle_momentum(res, a - step)) / (2.0 * h)
 
 
 def dual_pair_defect(res, a):
@@ -71,10 +59,13 @@ def dual_pair_defect(res, a):
     grad = rm.circle_momentum_gradient(res, a)
     basis = momentum_kernel_basis(res, a)
     leaf = rm.leaf_map_jacobian(res, a) @ k[..., None]
+    # The momentum is quadratic, so its central difference has no
+    # truncation error; the wide step keeps the rounding noise (about
+    # eps R / h) far below the dual-pair tolerance.
+    fd = poisson3.central_difference(lambda q: rm.circle_momentum(res, q), a,
+                                     1e-3 * (1.0 + np.linalg.norm(a, axis=-1)), basis)
     residual = np.max(np.abs(np.concatenate([
-        leaf[..., 0],
-        (basis @ grad[..., None])[..., 0],
-        _fd_momentum_differential(res, a[..., None, :], basis)], axis=-1)), axis=-1)
+        leaf[..., 0], (basis @ grad[..., None])[..., 0], fd], axis=-1)), axis=-1)
 
     g = grad / np.linalg.norm(grad, axis=-1, keepdims=True)
     w = ps.symplectic_normal(res.sign, k)
@@ -88,7 +79,8 @@ def minus_fiber_s_max(res, c):
 
     For n >= m every s > 0 works (the excluded ratio band sits at momentum
     <= 0).  For n < m the admissible set is an interval (0, s_max) computed
-    here by bisection on the domain inequality.
+    here by bisection on the domain inequality.  Raises BadParams when the
+    powers of that inequality overflow a float.
     """
     if c <= 0.0:
         raise ValueError("needs a positive fiber level")
@@ -97,7 +89,11 @@ def minus_fiber_s_max(res, c):
 
     def inside(w):
         u = 2.0 * c + w
-        return u ** res.m * w ** res.n < (0.5 * (u + w)) ** (res.n + res.m)
+        try:
+            return u ** res.m * w ** res.n < (0.5 * (u + w)) ** (res.n + res.m)
+        except OverflowError:
+            raise BadParams(f"the {res.n}:-{res.m} domain inequality overflows a float "
+                            f"on the fiber c={c}") from None
 
     hi = 1.0
     while inside(hi):

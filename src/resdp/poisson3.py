@@ -16,13 +16,15 @@ grad G), which is exact for any F, G, H: the second derivatives of F, G and
 H cancel in the cyclic sum.  Without one, both fall back on central finite
 differences, which is what a generic field (such as a non-Poisson control)
 gets; fd_jacobian is the Richardson finite-difference Jacobian that
-cross-checks a closed form.
+cross-checks a closed form.  Every finite difference of the package is a
+central_difference on a central_stencil.
 
 field_at, bracket, hamiltonian_vf, integrability_defect and jacobi_defect
 take a point (3,) or a batch (k, 3); a single point is the () case of the
 same code.  Fields, gradients and the function of central_difference take
-batches: the finite differences evaluate every stencil point of every
-point in one call.  Every point keeps the bits of its single-point call.
+any leading shape: the finite differences evaluate every stencil point of
+every point in one call.  Every point keeps the bits of its single-point
+call.
 """
 
 from dataclasses import dataclass, field
@@ -49,30 +51,33 @@ def norm(u):
     return np.sqrt(dot(u, u))
 
 
-def central_difference(fn, p, h):
-    """Central differences (fn(p + h e_i) - fn(p - h e_i)) / (2h) along every axis.
+def central_difference(fn, p, h, directions=None):
+    """Central differences (fn(p + h u) - fn(p - h u)) / (2h) along every direction u.
 
-    At points p (..., d) with steps h that broadcast over the leading axes,
-    fn is called once, on the 2 d stencil points of every point as one
-    batch (k, d), and must take batches.  The result is the gradients
-    (..., d) for a scalar fn and the Jacobians (..., r, d), column i the
-    difference along axis i, for an r-vector fn.
+    At points p (..., d), with steps h that broadcast over the leading
+    axes and the directions of central_stencil, fn is called once, on
+    central_stencil(p, h, directions), and must take any leading shape.
+    The result is the differences (..., r) for a scalar fn and (..., s, r),
+    column i along direction i, for an s-vector fn.
     """
     p = np.asarray(p, dtype=float)
-    lead, d = p.shape[:-1], p.shape[-1]
-    vals = fn(central_stencil(p, h))
-    h = np.broadcast_to(np.asarray(h, dtype=float), lead).reshape(-1)
-    vals = vals.reshape((2, -1, d) + vals.shape[1:])
-    diff = (vals[0] - vals[1]) / (2.0 * h).reshape((-1,) + (1,) * (vals.ndim - 2))
-    return np.moveaxis(diff, 1, -1).reshape(lead + vals.shape[3:] + (d,))
+    lead = p.shape[:-1]
+    plus, minus = np.split(fn(central_stencil(p, h, directions)), 2, axis=len(lead))
+    h = np.broadcast_to(np.asarray(h, dtype=float), lead)
+    diff = (plus - minus) / (2.0 * h).reshape(lead + (1,) * (plus.ndim - len(lead)))
+    return np.moveaxis(diff, len(lead), -1)
 
 
-def central_stencil(p, h):
-    """The points p + h e_i, then p - h e_i, of central_difference as one batch (2 k d, d)."""
+def central_stencil(p, h, directions=None):
+    """The points p + h u for every row u of directions, then p - h u; (..., 2 r, d).
+
+    directions (..., r, d) holds one set per point or one shared set, and
+    defaults to the d axes.
+    """
     p = np.asarray(p, dtype=float)
-    d = p.shape[-1]
-    step = np.eye(d) * np.broadcast_to(np.asarray(h, dtype=float), p.shape[:-1]).reshape(-1, 1, 1)
-    return (p.reshape(-1, 1, d) + np.stack([step, -step])).reshape(-1, d)
+    u = np.eye(p.shape[-1]) if directions is None else np.asarray(directions, dtype=float)
+    step = np.broadcast_to(np.asarray(h, dtype=float), p.shape[:-1])[..., None, None] * u
+    return np.concatenate([p[..., None, :] + step, p[..., None, :] - step], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -145,30 +150,28 @@ def hamiltonian_vf(structure, h, p):
     return np.cross(v, h.gradient(p))
 
 
-def fd_stencil(p):
-    """The 12 points p +- h e_i, p +- (h/2) e_i, h = 1e-5 (1 + |p|), of fd_jacobian; (..., 12, 3).
+# The steps of fd_jacobian: the axes at h, then at h/2.
+_RICHARDSON = np.concatenate([np.eye(3), 0.5 * np.eye(3)])
 
-    Blocks of three: the steps +h, -h, +h/2 and -h/2 along the axes in order.
-    """
+
+def fd_stencil(p):
+    """The central_stencil of fd_jacobian: h = 1e-5 (1 + |p|) along _RICHARDSON; (..., 12, 3)."""
     p = np.asarray(p, dtype=float)
-    offsets = np.concatenate([np.eye(3), -np.eye(3), 0.5 * np.eye(3), -0.5 * np.eye(3)])
-    return p[..., None, :] + np.asarray(1e-5 * (1.0 + norm(p)))[..., None, None] * offsets
+    return central_stencil(p, 1e-5 * (1.0 + norm(p)), _RICHARDSON)
 
 
 def fd_jacobian(structure, p):
     """Richardson-extrapolated central-difference Jacobian of the field, (..., 3, 3).
 
-    The field runs once, on all the points of fd_stencil(p), which must lie
-    in the domain.  Central differences at its steps h and h/2 combine as
-    (4 fine - coarse) / 3 to cancel the leading truncation term, which
-    matters for fields with nearby poles.
+    One central_difference call runs the field on all the points of
+    fd_stencil(p), which must lie in the domain.  It divides the h/2 steps
+    by 2h, so those columns are exactly half the fine differences, and
+    (8 D[h/2] - D[h]) / 3 is (4 fine - coarse) / 3, which cancels the
+    leading truncation term; that matters for fields with nearby poles.
     """
     p = np.asarray(p, dtype=float)
-    h = np.asarray(1e-5 * (1.0 + norm(p)))[..., None, None]
-    vals = structure.field_at(fd_stencil(p))
-    coarse = (vals[..., 0:3, :] - vals[..., 3:6, :]) / (2.0 * h)
-    fine = (vals[..., 6:9, :] - vals[..., 9:12, :]) / (2.0 * (0.5 * h))
-    return np.swapaxes((4.0 * fine - coarse) / 3.0, -1, -2)
+    diff = central_difference(structure.field_at, p, 1e-5 * (1.0 + norm(p)), _RICHARDSON)
+    return (8.0 * diff[..., 3:] - diff[..., :3]) / 3.0
 
 
 def curl(jac):

@@ -135,7 +135,7 @@ def check_casimir(res, samples=400, seed=42, tol=None):
     if res.sign == PLUS:
         rho2 = rng.uniform(0.05, 4.0, size=max(samples // 4, 16))
         # Python float powers: numpy's array power rounds differently.
-        scale = float(res.n) ** res.m * float(res.m) ** res.n
+        scale = casimir.kummer_scale(res)
         want = np.array([(scale * r2) ** (1.0 / (res.n + res.m)) for r2 in rho2.tolist()])
         oracles.append(("closed_form_equator", np.sqrt(rho2)[:, None] * [1.0, 0.0, 0.0], want, {}))
     if res.n == 1 and res.m == 1:
@@ -149,9 +149,7 @@ def check_casimir(res, samples=400, seed=42, tol=None):
         # Fiber points have momentum R = c > 0.  The moduli box of
         # sample_in_domain holds few in-domain points with R well above 0,
         # and on 1:-4 none with R >= 0.1.
-        per_level = max(1, samples // len(_LEVELS))
-        a = np.vstack([dual_pair.fiber_sample(res, c, per_level, seed=seed + 1 + i)
-                       for i, c in enumerate(_LEVELS)])
+        a = np.concatenate(_level_points(res, samples, seed + 1))
     p = rm.leaf_map(res, a)
     # The projected point can fall off the open set at rounding level.
     inside = casimir.in_leaf_domain(res, p)
@@ -275,8 +273,7 @@ def _shape_draws(res, size, rng):
     Then (x, y) = sqrt(K(c, z)) (cos t, sin t) with t uniform, so the
     Casimir of the point is c.
     """
-    base = float(res.n) ** res.m * float(res.m) ** res.n
-    c = (rng.uniform(0.02, 1.2, size=size) * base) ** (1.0 / (res.n + res.m))
+    c = (rng.uniform(0.02, 1.2, size=size) * casimir.kummer_scale(res)) ** (1.0 / (res.n + res.m))
     if res.sign == PLUS:
         z = rng.uniform(-c, c)
     else:
@@ -293,8 +290,7 @@ def _minus_z_max(res, c, target):
     brackets the root z*; the result is within 2^-12 d0 above z*, which
     widens the minus window of _shape_draws by as much.
     """
-    base = float(res.n) ** res.m * float(res.m) ** res.n
-    lo, hi = c, c + (target * base) ** (1.0 / (res.n + res.m))
+    lo, hi = c, c + (target * casimir.kummer_scale(res)) ** (1.0 / (res.n + res.m))
     for _ in range(12):
         mid = 0.5 * (lo + hi)
         below = casimir.kummer_product(res, c, mid) < target
@@ -344,31 +340,27 @@ def check_bracket_table(res, samples=200, seed=42, tol=None):
     return _assemble("bracket-table", res, samples, seed, details)
 
 
+def _level_points(res, samples, seed):
+    """Fiber samples, samples // 3 (at least one) at each level c of _LEVELS, at seeds seed + i."""
+    return [dual_pair.fiber_sample(res, c, max(1, samples // len(_LEVELS)), seed=seed + i)
+            for i, c in enumerate(_LEVELS)]
+
+
 def check_dual_pair(res, samples=60, seed=42, tol=None):
-    """Dual-pair defects over fiber samples at momentum levels 0.5, 1.5 and 3."""
+    """Dual-pair defects over fiber samples at momentum levels 0.5, 1.5 and 3, in one call."""
     _require_samples(samples)
-    per_level = max(1, samples // len(_LEVELS))
-    worst_res, worst_dist, total = 0.0, 0.0, 0
-    for i, c in enumerate(_LEVELS):
-        points = dual_pair.fiber_sample(res, c, per_level, seed=seed + i)
-        kernel_residual, distance = dual_pair.dual_pair_defect(res, points)
-        worst_res = max(worst_res, float(np.max(kernel_residual)))
-        worst_dist = max(worst_dist, float(np.max(distance)))
-        total += len(points)
+    points = np.concatenate(_level_points(res, samples, seed))
     tolerance = _tol(tol, 1e-9)
-    details = [
-        {"name": "kernel_residual", "defect": worst_res, "tolerance": tolerance},
-        {"name": "subspace_distance", "defect": worst_dist, "tolerance": tolerance},
-    ]
-    return _assemble("dual-pair", res, total, seed, details)
+    details = [{"name": name, "defect": float(np.max(defect)), "tolerance": tolerance}
+               for name, defect in zip(("kernel_residual", "subspace_distance"),
+                                       dual_pair.dual_pair_defect(res, points))]
+    return _assemble("dual-pair", res, len(points), seed, details)
 
 
 def check_leaf_correspondence(res, samples=60, seed=42, tol=None):
     """|Casimir(leaf_map(a)) - c| over fiber samples at each level c of _LEVELS, in one solve."""
     _require_samples(samples)
-    per_level = max(1, samples // len(_LEVELS))
-    leaves = [rm.leaf_map(res, dual_pair.fiber_sample(res, c, per_level, seed=seed + i))
-              for i, c in enumerate(_LEVELS)]
+    leaves = [rm.leaf_map(res, a) for a in _level_points(res, samples, seed)]
     details = [{"name": f"level_c_{c:g}", "defect": float(np.max(np.abs(value - c), initial=0.0)),
                 "tolerance": _tol(tol, 1e-9) * (1.0 + c)}
                for c, (value, _) in zip(_LEVELS, _solve_blocks(res, *leaves))]
@@ -518,10 +510,9 @@ def check_pushforward(res, samples=1, seed=42, tol=None):
                 dynamics.DownstairsHamiltonian(alpha=0.15, beta=-0.1, gamma=0.8),
                 dynamics.DownstairsHamiltonian(alpha=-0.2, gamma=1.2)]
     points = _pushforward_points(res, samples, seed)
-    worst = 0.0
-    for i, a0 in enumerate(points):
-        ham = hams[i % len(hams)]
-        worst = max(worst, dynamics.pushforward_defect(res, ham, a0, 1e-3, 1.0))
+    # np.max, unlike max, keeps a NaN defect as the worst.
+    worst = float(np.max([dynamics.pushforward_defect(res, hams[i % len(hams)], a0, 1e-3, 1.0)
+                          for i, a0 in enumerate(points)]))
     details = [{"name": "flow_commutation", "defect": worst,
                 "tolerance": _tol(tol, 1e-6)}]
     return _assemble("pushforward", res, len(points), seed, details)

@@ -165,6 +165,26 @@ class TestUsageErrors:
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["casimir", "--n", "0", "--point", "1,0,0"],
+         "n, m must be positive integers, got (0, 1)"),
+        (["casimir", "--n", "400", "--m", "300", "--sign", "minus", "--point", "0.1,0,5"],
+         "n^m m^n of the 400:300 resonance overflows a float"),
+        (["flow", "downstairs", "--n", "300", "--m", "300", "--sign", "minus", "--p0", "0.1,0,5"],
+         "n^m m^n of the 300:300 resonance overflows a float"),
+        (["verify", "casimir", "--n", "200", "--m", "200", "--samples", "5"],
+         "n^m m^n of the 200:200 resonance overflows a float"),
+        (["verify", "pushforward", "--n", "200", "--m", "300", "--sign", "minus"],
+         "the 200:-300 domain inequality overflows a float on the fiber c=1.5"),
+    ])
+    def test_bad_or_huge_order_exits_two(self, argv, message, tmp_path, capsys):
+        # Each of these ended in a ValueError or OverflowError traceback.
+        out = tmp_path / "f.csv"
+        assert main(argv + (["--out", str(out)] if argv[0] == "flow" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "identity", "--samples", "10", "--seed", "-1"]) == 2
         capsys.readouterr()
@@ -172,6 +192,41 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestNegativeValues:
+    # argparse reads a value after a space only in the forms -N and -N.N;
+    # each of these exited 2 with "expected one argument".
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["casimir", "--sign", "minus"], "--point", "-1,0,2"),
+        (["flow", "upstairs"], "--a0", "-1,0,1,0"),
+        (["flow", "downstairs"], "--p0", "-1,0,0"),
+        (["flow", "downstairs"], "--alpha", "-1e-3"),
+        (["flow", "downstairs"], "--beta", "-1e-3"),
+        (["flow", "downstairs"], "--gamma", "-.5"),
+    ])
+    def test_value_after_a_space_equals_the_joined_form(self, argv, flag, value, tmp_path,
+                                                        capsys):
+        out = tmp_path / "f.csv"
+        tail = ["--dt", "0.01", "--T", "0.1", "--out", str(out)] if argv[0] == "flow" else []
+        runs = []
+        for option in ([flag, value], [f"{flag}={value}"]):
+            assert main(argv + option + tail) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes() if tail else None))
+        assert runs[0] == runs[1]
+
+    def test_negative_level_reaches_the_geometry_check(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--c", "-1e-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need c > 0, got -0.001\n"
+        assert not out.exists()
+
+    def test_only_option_values_are_joined(self):
+        argv = ["verify", "all", "--seed", "-1", "--json=-1.json", "--help", "-1", "-h",
+                "-2", "--", "--x", "-3"]
+        assert cli._join_negative_values(argv) == [
+            "verify", "all", "--seed=-1", "--json=-1.json", "--help", "-1", "-h", "-2", "--",
+            "--x", "-3"]
 
 
 class TestGeometryCommands:

@@ -6,7 +6,7 @@ from resdp import resonance_maps as rm
 from resdp.errors import OffDomain
 from resdp.poisson3 import PoissonStructure3, ScalarField, coordinate_fields
 from resdp.resonance_maps import Resonance
-from resdp.verification import sample_leaf_points
+from resdp.verification import GRID, sample_leaf_points
 
 FX, FY, FZ = coordinate_fields()
 
@@ -335,6 +335,41 @@ class TestBatches:
         poisson3.fd_jacobian(PoissonStructure3(field=recording), pts)
         assert len(seen) == 1
         assert seen[0].tolist() == poisson3.fd_stencil(pts).tolist()
+
+    def test_central_difference_along_the_axes_is_the_default(self):
+        def vector(q):
+            return np.stack([q[..., 0] * q[..., 1], np.exp(q[..., 2])], axis=-1)
+
+        pts = np.random.default_rng(30).uniform(-1.5, 1.5, size=(2, 4, 3))
+        h = 1e-4 * (1.0 + poisson3.norm(pts))
+        for directions in (np.eye(3), np.broadcast_to(np.eye(3), (2, 4, 3, 3))):
+            assert (poisson3.central_difference(vector, pts, h, directions).tobytes()
+                    == poisson3.central_difference(vector, pts, h).tobytes())
+
+    def test_central_stencil_layout(self):
+        # p + h u for every direction u, then p - h u, with per-point directions.
+        p = np.array([[1.0, 2.0], [3.0, 4.0]])
+        u = np.array([[[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
+        got = poisson3.central_stencil(p, np.array([0.5, 0.25]), u)
+        assert got.shape == (2, 6, 2)
+        assert got.tolist() == [
+            [[1.5, 2.0], [1.0, 3.0], [1.5, 2.5], [0.5, 2.0], [1.0, 1.0], [0.5, 1.5]],
+            [[3.0, 4.25], [3.25, 4.0], [3.0, 4.0], [3.0, 3.75], [2.75, 4.0], [3.0, 4.0]]]
+
+    @pytest.mark.parametrize("cell", GRID, ids=str)
+    def test_fd_jacobian_is_the_richardson_pair_bit_for_bit(self, cell):
+        # The reference: (4 fine - coarse) / 3 of the steps h and h/2 on
+        # their own offset table, one quotient per step size.
+        res = Resonance(*cell)
+        s = poisson3.resonance_structure(res)
+        p = leaf_points(res, 6, seed=31)
+        h = (1e-5 * (1.0 + poisson3.norm(p)))[..., None, None]
+        offsets = np.concatenate([np.eye(3), -np.eye(3), 0.5 * np.eye(3), -0.5 * np.eye(3)])
+        vals = s.field_at(p[..., None, :] + h * offsets)
+        coarse = (vals[..., 0:3, :] - vals[..., 3:6, :]) / (2.0 * h)
+        fine = (vals[..., 6:9, :] - vals[..., 9:12, :]) / (2.0 * (0.5 * h))
+        want = np.swapaxes((4.0 * fine - coarse) / 3.0, -1, -2)
+        assert poisson3.fd_jacobian(s, p).tobytes() == want.tobytes()
 
     def test_batch_jacobian_layout(self):
         # Row i of each point's Jacobian holds the derivatives of component i.

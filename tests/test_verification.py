@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from resdp import casimir, dual_pair as dp, group_actions as ga, poisson3
+from resdp import casimir, dual_pair as dp, dynamics, group_actions as ga, poisson3
 from resdp import resonance_maps as rm, verification as vf
 from resdp.errors import EmptyFiber
 from resdp.resonance_maps import Resonance
@@ -292,6 +292,40 @@ class TestDualPairCheck:
         assert report.details[0]["defect"] < 1e-11
 
 
+    def test_one_defect_call_per_report(self, monkeypatch):
+        calls = []
+        defect = dp.dual_pair_defect
+
+        def counted(res, a):
+            calls.append(len(a))
+            return defect(res, a)
+
+        monkeypatch.setattr(dp, "dual_pair_defect", counted)
+        report = vf.check_dual_pair(Resonance(2, 3, "minus"), seed=1)
+        assert report.passed and calls == [report.samples] == [60]
+
+    @pytest.mark.parametrize("check,samples,seed,draws", [
+        ("dual-pair", 60, 5, [(0.5, 20, 5), (1.5, 20, 6), (3.0, 20, 7)]),
+        ("dual-pair", 2, 0, [(0.5, 1, 0), (1.5, 1, 1), (3.0, 1, 2)]),
+        ("leaf-correspondence", 7, 3, [(0.5, 2, 3), (1.5, 2, 4), (3.0, 2, 5)]),
+        ("casimir", 400, 42, [(0.5, 133, 43), (1.5, 133, 44), (3.0, 133, 45)]),
+    ])
+    def test_level_points_draw_as_each_check_drew(self, check, samples, seed, draws,
+                                                  monkeypatch):
+        # (level, count, seed) of every fiber_sample call, as each check
+        # drew its levels before _level_points served all three.
+        calls = []
+        sample = dp.fiber_sample
+
+        def recorded(res, c, count, seed=42):
+            calls.append((c, count, seed))
+            return sample(res, c, count, seed=seed)
+
+        monkeypatch.setattr(dp, "fiber_sample", recorded)
+        assert vf.CHECKS[check](Resonance(2, 3, "minus"), samples=samples, seed=seed).passed
+        assert calls == draws
+
+
 def nan_equivariance_defect(sign, g, a, v):
     return np.full(len(a), np.nan)
 
@@ -312,6 +346,20 @@ class TestNanDefect:
         assert [d["pass"] for d in details] == [i != where for i in range(3)]
         assert report.passed is False
         assert math.isnan(report.max_defect)
+
+    def test_nan_kernel_residual_fails_the_dual_pair_report(self, monkeypatch):
+        # Python max over the levels dropped the NaN: this reported PASS with defect 0.0.
+        monkeypatch.setattr(dp, "dual_pair_defect",
+                            lambda res, a: (np.full(len(a), np.nan), np.zeros(len(a))))
+        report = vf.check_dual_pair(Resonance(2, 1), samples=6, seed=1)
+        assert [d["pass"] for d in report.details] == [False, True]
+        assert report.passed is False and math.isnan(report.max_defect)
+
+    def test_nan_flow_defect_fails_the_pushforward_report(self, monkeypatch):
+        # Python max over the start points dropped the NaN: this reported PASS with defect 0.0.
+        monkeypatch.setattr(dynamics, "pushforward_defect", lambda *args: float("nan"))
+        report = vf.check_pushforward(Resonance(2, 1), samples=2, seed=1)
+        assert report.passed is False and math.isnan(report.max_defect)
 
     def test_zero_defect_meets_a_zero_tolerance(self):
         details = [{"name": "exact", "defect": 0.0, "tolerance": 0.0},

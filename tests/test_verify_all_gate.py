@@ -1,7 +1,9 @@
-"""Byte-identity gate: `resdp verify all --seed 42 --json`, apart from its timestamp.
+"""Byte-identity gate: `resdp verify all --json` at seeds 42, 1 and 7, apart from its timestamp.
 
-tests/data/verify_all_seed42.json holds that report with the timestamp line
-removed.  A change that moves a report on purpose rewrites the file with
+tests/data/verify_all_seed42.json holds the seed-42 report with the
+timestamp line removed, and tests/data/verify_all_sha256.json the SHA-256
+digests of the same text at seeds 1 and 7.  A change that moves a report on
+purpose rewrites the file and the digests with
 
     PYTHONPATH=src python tests/test_verify_all_gate.py
 
@@ -20,6 +22,7 @@ kernels, so on other hardware this test can fail while every report still
 passes.
 """
 
+import hashlib
 import itertools
 import json
 import re
@@ -30,6 +33,8 @@ import pytest
 from resdp.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_seed42.json"
+DIGESTS = Path(__file__).parent / "data" / "verify_all_sha256.json"
+PINNED_SEEDS = (1, 7)
 
 
 def verify_all_json(path, seed=42):
@@ -39,6 +44,10 @@ def verify_all_json(path, seed=42):
     stripped, count = re.subn(r',\n  "timestamp": "[^"]*"\n}\n$', "\n}\n", text)
     assert count == 1
     return stripped
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def detail_moves(old, new):
@@ -125,6 +134,18 @@ def test_verify_all_seed_42_is_byte_identical(tmp_path, capsys):
                     pytrace=False)
 
 
+@pytest.mark.parametrize("seed", PINNED_SEEDS)
+def test_verify_all_digest_is_pinned(seed, tmp_path, capsys):
+    got = sha256(verify_all_json(tmp_path / "all.json", seed))
+    capsys.readouterr()
+    if got != json.loads(DIGESTS.read_text())[str(seed)]:
+        pytest.fail(f"verify all --seed {seed} differs from its digest in {DIGESTS.name}. "
+                    f"To list the moved details, write the parent commit's report with "
+                    f"`resdp verify all --seed {seed} --json parent{seed}.json` and run "
+                    f"`PYTHONPATH=src python tests/test_verify_all_gate.py --moves "
+                    f"parent{seed}.json` here.", pytrace=False)
+
+
 def test_golden_reports_follow_the_pass_rule():
     # A report passes when every detail passes, and its max_defect is the
     # largest defect/tolerance of its details; the summary is the same over reports.
@@ -144,16 +165,22 @@ if __name__ == "__main__":
     import io
     import tempfile
 
-    parser = argparse.ArgumentParser(description="Rewrite the seed-42 golden file, or with "
-                                                 "--moves print the details a fresh run moves.")
+    parser = argparse.ArgumentParser(description="Rewrite the seed-42 golden file and the "
+                                                 "seed-1 and seed-7 digests, or with --moves "
+                                                 "print the details a fresh run moves.")
     parser.add_argument("--moves", nargs="?", const=GOLDEN, type=Path, metavar="FILE",
                         help="a `verify all --json` report to diff against, at its seed "
                              "(default tests/data/verify_all_seed42.json)")
     args = parser.parse_args()
-    old = json.loads((args.moves or GOLDEN).read_text())
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        fresh = verify_all_json(Path(tmp) / "all.json", old["seed"])
-    if args.moves:
-        print(format_moves(detail_moves(old, json.loads(fresh))))
-    else:
-        GOLDEN.write_text(fresh, newline="\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        def fresh(seed):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return verify_all_json(Path(tmp) / "all.json", seed)
+
+        if args.moves:
+            old = json.loads(args.moves.read_text())
+            print(format_moves(detail_moves(old, json.loads(fresh(old["seed"])))))
+        else:
+            GOLDEN.write_text(fresh(42), newline="\n")
+            digests = {str(seed): sha256(fresh(seed)) for seed in PINNED_SEEDS}
+            DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", newline="\n")
