@@ -47,10 +47,11 @@ def kummer_product(res, c, z):
 
     ((c+z)/n)^m ((c-z)/m)^n for the bounded family, ((z+c)/n)^m ((z-c)/m)^n
     for the unbounded one.  A point (x, y, z) lies on the shape at level c
-    exactly when x^2 + y^2 equals this product.
+    exactly when x^2 + y^2 equals this product.  It is the solver's own
+    polynomial: _eval's value at x^2 + y^2 = 0, with the same bits.
     """
-    fb = c - z if res.sign == PLUS else z - c
-    return int_pow((c + z) / res.n, res.m) * int_pow(fb / res.m, res.n)
+    sm = res.m if res.sign == PLUS else -res.m
+    return _eval(res.n, res.m, sm, 0.0, z, c)[0]
 
 
 def kummer_scale(res):
@@ -100,18 +101,8 @@ def leaf_domain_test(res, axis_margin=0.0, bound_margin=1.0):
     def inside(x, y, z):
         rho2 = x * x + y * y
         tau = axis_margin * (1.0 + abs(x) + abs(y) + abs(z))
-        return (rho2 > tau * tau) & (scale * rho2 < bound_margin * _powi(z, order))
+        return (rho2 > tau * tau) & (scale * rho2 < bound_margin * int_pow(z, order))
     return inside
-
-
-def _powi(x, k):
-    out = 1.0
-    while k:
-        if k & 1:
-            out = out * x
-        x = x * x
-        k >>= 1
-    return out
 
 
 def _eval(n, m, sm, rho2, z, r):
@@ -122,8 +113,8 @@ def _eval(n, m, sm, rho2, z, r):
     """
     fa = (r + z) / n
     fb = (r - z) / sm
-    fa1 = _powi(fa, m - 1)
-    fb1 = _powi(fb, n - 1)
+    fa1 = int_pow(fa, m - 1)
+    fb1 = int_pow(fb, n - 1)
     val = fa1 * fa * fb1 * fb - rho2
     dval = fa1 * fb1 * (m * fb / n + n * fa / sm)
     return val, dval

@@ -178,12 +178,12 @@ def _cmd_verify(args):
             _write_report(summary.to_dict(), args.json)
         print(f"verify all: {'PASS' if summary.passed else 'FAIL'} ({len(reports)} reports)")
         return 0 if summary.passed else 1
-    samples = 1000 if args.samples is None else args.samples
-    if samples < 1:
-        raise BadParams(f"need --samples >= 1, got {samples}")
+    if args.samples is not None and args.samples < 1:
+        raise BadParams(f"need --samples >= 1, got {args.samples}")
     res = _resonance(args)
-    check = verification.CHECKS[args.what]
-    report = check(res, samples=samples, seed=seed, tol=args.tol)
+    # Without --samples the check runs its own default, its `verify all` count.
+    counts = {} if args.samples is None else {"samples": args.samples}
+    report = verification.CHECKS[args.what](res, seed=seed, tol=args.tol, **counts)
     _print_report(report)
     if args.json:
         _write_report(report.to_dict(), args.json)
@@ -240,7 +240,8 @@ def _parser():
     p.add_argument("what", choices=sorted(verification.CHECKS) + ["all"])
     _add_resonance_flags(p)
     p.add_argument("--samples", type=int, default=None,
-                   help="sample count of a single check (default 1000)")
+                   help="sample count of a single check (default: the check's "
+                        "`verify all` count)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", default=None)

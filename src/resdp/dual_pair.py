@@ -111,18 +111,28 @@ def minus_fiber_s_max(res, c):
     return lo / res.m
 
 
+def minus_fiber_window(s_max):
+    """The |a2|^2 window (s_lo, s_hi) of minus fiber draws below s_max (inf: none); broadcasts.
+
+    (0.1, 4.0), clipped to 0.999 s_max, or (0.02, 0.98) s_max when s_max <= 0.1.
+    """
+    small = s_max <= 0.1
+    return (np.where(small, 0.02 * s_max, 0.1),
+            np.where(small, 0.98 * s_max, np.minimum(4.0, 0.999 * s_max)))
+
+
 def fiber_sample(res, c, count, seed=42):
     """Draw `count` phase points on the momentum fiber {circle_momentum = c}.
 
     Plus: the fiber is an ellipsoid-like 3-sphere; the two moduli are split
     by t uniform in (0.05, 0.95) with independent uniform phases.  Minus:
-    |a2|^2 is drawn uniform on (0.1, 4.0) and the draw is rejected against the
-    open dual-pair domain; when n < m the admissible s interval on a c > 0
-    fiber is bounded and the window is clipped to it (shrunk into it when
-    the default window misses it entirely).  For c > 0 every minus sample
-    also lies in the positive-momentum part of the domain; for c <= 0 a draw
-    with |a1|^2 <= 0 is rejected too.  Minus draws are taken in blocks of the
-    points still needed, up to 200 * count (at least 1000) draws.
+    |a2|^2 is drawn uniform on minus_fiber_window and the draw is rejected
+    against the open dual-pair domain; when n < m the admissible s interval
+    on a c > 0 fiber is bounded by s_max, which the window follows.  For
+    c > 0 every minus sample also lies in the positive-momentum part of the
+    domain; for c <= 0 a draw with |a1|^2 <= 0 is rejected too.  Minus draws
+    are taken in blocks of the points still needed, up to 200 * count (at
+    least 1000) draws.
     """
     rng = np.random.default_rng(seed)
     if res.sign == PLUS:
@@ -135,13 +145,7 @@ def fiber_sample(res, c, count, seed=42):
         ph2 = rng.uniform(0.0, 2.0 * np.pi, size=count)
         return ps.from_complex(np.sqrt(r1) * np.exp(1j * ph1),
                                np.sqrt(r2) * np.exp(1j * ph2))
-    s_lo, s_hi = 0.1, 4.0
-    if res.n < res.m and c > 0.0:
-        s_max = minus_fiber_s_max(res, c)
-        if s_max <= s_lo:
-            s_lo, s_hi = 0.02 * s_max, 0.98 * s_max
-        else:
-            s_hi = min(s_hi, 0.999 * s_max)
+    s_lo, s_hi = minus_fiber_window(minus_fiber_s_max(res, c) if c > 0.0 else np.inf)
     # Each draw takes three uniforms (s and two phases), scaled as
     # rng.uniform scales them, so a block of draws gives the points of the
     # same draws taken one at a time.

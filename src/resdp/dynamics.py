@@ -28,6 +28,8 @@ from .phase_space import PLUS
 from .poisson3 import ScalarField
 
 _BLOWUP_NORM = 1e6
+# A run keeps every state, about 260 B a step, so 10^6 steps hold about 260 MB.
+_MAX_STEPS = 10 ** 6
 _AXIS_MARGIN = 1e-9
 
 
@@ -133,13 +135,15 @@ def _integrate(step, y0, steps):
 
 
 def _step_count(dt, total):
-    """The number of steps T / dt, which must be within 1e-9 (relative) of a whole number."""
+    """The number of steps T / dt: within 1e-9 (relative) of a whole number, at most _MAX_STEPS."""
     if not (0.0 < dt <= total and total / dt < math.inf):
         raise ValueError("need dt > 0, T >= dt and a finite T / dt")
     ratio = total / dt
     steps = round(ratio)
     if abs(ratio - steps) > 1e-9 * ratio:
         raise ValueError(f"need T / dt to be a whole number of steps, not {ratio:.12g}")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"need at most {_MAX_STEPS} steps, not {steps}")
     return steps
 
 

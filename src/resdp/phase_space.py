@@ -38,26 +38,22 @@ def from_complex(a1, a2):
     return np.stack([a1.real, a1.imag, a2.real, a2.imag], axis=-1)
 
 
-def int_pow(z, k):
-    """z**k for integer k >= 0 by square-and-multiply.
+def int_pow(x, k):
+    """x**k for an int k >= 0 by square-and-multiply, the library's one integer power.
 
-    Keeps complex powers exact in the exponent (no log/exp branch cuts) and
-    works elementwise on arrays.
+    It uses only *, starting from 1.0, so it runs on Python floats and
+    complex numbers and elementwise on float and complex arrays, with no
+    log/exp branch cut; k = 0 gives 1.0.
     """
-    if k != int(k) or k < 0:
+    if k < 0:
         raise ValueError("int_pow needs a nonnegative integer exponent")
-    k = int(k)
-    base = np.asarray(z)
-    if base.dtype.kind in "iub":
-        base = base.astype(float)
-    result = np.ones_like(base)
-    base = base.copy()
+    out = 1.0
     while k:
         if k & 1:
-            result = result * base
-        base = base * base
+            out = out * x
+        x = x * x
         k >>= 1
-    return result
+    return out
 
 
 def hermitian(sign, alpha, beta):

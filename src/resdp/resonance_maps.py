@@ -78,10 +78,15 @@ def leaf_z(res, a):
 
 
 def leaf_map(res, a):
-    """Map a phase point to (X, Y, Z) in R^3; broadcasts to (..., 3)."""
-    a1, a2 = to_complex(a)
+    """Map phase points (..., 4) to (X, Y, Z), shape (..., 3), run as one (k, 4) batch.
+
+    A single point is a one-row batch, so it has the same bits alone and in any batch.
+    """
+    a = np.asarray(a, dtype=float)
+    rows = a.reshape(-1, 4)
+    a1, a2 = to_complex(rows)
     w = int_pow(a1, res.m) * int_pow(np.conj(a2), res.n)
-    return np.stack([w.real, -w.imag, leaf_z(res, a)], axis=-1)
+    return np.stack([w.real, -w.imag, leaf_z(res, rows)], axis=-1).reshape(a.shape[:-1] + (3,))
 
 
 def su11_momentum(a):
@@ -99,12 +104,13 @@ def su11_momentum(a):
 
 
 def leaf_map_jacobian(res, a):
-    """Jacobian of leaf_map, shape (..., 3, 4); broadcasts over points (..., 4).
+    """Jacobian of leaf_map, shape (..., 3, 4), at points (..., 4) run as one (k, 4) batch.
 
     w = X - iY has dw/dx1 = pa, dw/dy1 = i pa, dw/dx2 = pb, dw/dy2 = -i pb.
     """
     a = np.asarray(a, dtype=float)
-    a1, a2 = to_complex(a)
+    rows = a.reshape(-1, 4)
+    a1, a2 = to_complex(rows)
     n, m = res.n, res.m
     pa = m * int_pow(a1, m - 1) * int_pow(np.conj(a2), n)
     pb = n * int_pow(a1, m) * int_pow(np.conj(a2), n - 1)
@@ -112,9 +118,9 @@ def leaf_map_jacobian(res, a):
     jac = np.array([
         [pa.real, -pa.imag, pb.real, pb.imag],
         [-pa.imag, -pa.real, -pb.imag, pb.real],
-        [n * a[..., 0], n * a[..., 1], -s * m * a[..., 2], -s * m * a[..., 3]],
+        [n * rows[:, 0], n * rows[:, 1], -s * m * rows[:, 2], -s * m * rows[:, 3]],
     ])
-    return jac.transpose(*range(2, jac.ndim), 0, 1)
+    return jac.transpose(2, 0, 1).reshape(a.shape[:-1] + (3, 4))
 
 
 def circle_generator(res, a):

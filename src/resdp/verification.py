@@ -301,21 +301,20 @@ def _minus_z_max(res, c, target):
 def _fiber_rho2_floor(res, c, s_max_1):
     """Lower bound of x^2 + y^2 over the leaf images of fiber_sample(res, c, ...); broadcasts.
 
-    x^2 + y^2 = |a1|^(2m) |a2|^(2n).  Plus: the moduli are 2ct/n and
-    2c(1 - t)/m with t in [0.05, 0.95); the log of the product is concave in
-    t, so the smaller endpoint value bounds it.  Minus: the product
-    ((2c + m s)/n)^m s^n grows with s = |a2|^2, so the left end of the s
-    window bounds it.  On n < m cells that end follows s_max(c), which the
-    homogeneity of the domain inequality makes c * s_max(1); a 1e-12 margin
-    covers the rounding of both bisections.
+    x^2 + y^2 = |a1|^(2m) |a2|^(2n) is the Kummer product K(c, z) at the
+    image's height z.  Plus: the moduli are 2ct/n and 2c(1 - t)/m with t in
+    [0.05, 0.95), so z = c(2t - 1); the log of K is concave in t, so the
+    smaller endpoint value bounds it.  Minus: z = c + m s, and K grows with
+    s = |a2|^2, so the left end of dual_pair.minus_fiber_window bounds it.
+    On n < m cells that end follows s_max(c), which the homogeneity of the
+    domain inequality makes c * s_max(1); a 1e-12 margin covers the
+    rounding of both bisections.
     """
-    n, m = res.n, res.m
     if res.sign == PLUS:
-        return np.minimum(*((2.0 * c * t / n) ** m * (2.0 * c * (1.0 - t) / m) ** n
+        return np.minimum(*(casimir.kummer_product(res, c, c * (2.0 * t - 1.0))
                             for t in (0.05, 0.95)))
-    s_max = c * s_max_1 * (1.0 - 1e-12)
-    s_lo = np.where(s_max <= 0.1, 0.02 * s_max, 0.1)
-    return ((2.0 * c + m * s_lo) / n) ** m * s_lo ** n
+    s_lo = dual_pair.minus_fiber_window(c * s_max_1 * (1.0 - 1e-12))[0]
+    return casimir.kummer_product(res, c, c + res.m * s_lo)
 
 
 def check_bracket_table(res, samples=200, seed=42, tol=None):

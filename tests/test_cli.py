@@ -143,6 +143,23 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_too_many_flow_steps_rejected_before_integrating(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # 10^9 kept states would take about 260 GB; the step limit refuses
+        # the run before any integration starts.
+        def no_integration(*args):
+            raise AssertionError("the flow started integrating")
+
+        monkeypatch.setattr(dynamics, "_integrate", no_integration)
+        out = tmp_path / "f.csv"
+        code = main(["flow", "upstairs", "--T", "1e9", "--dt", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: need at most 1000000 steps, not 1000000000, "
+                                "got --dt 1.0 and --T 1000000000.0\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["casimir", "--point", "1,0,nan"], "--point needs finite numbers, got '1,0,nan'"),
         (["casimir", "--point", "inf,0,1"], "--point needs finite numbers, got 'inf,0,1'"),
@@ -380,9 +397,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "seed=12345" in out
 
-    def test_single_check_defaults_to_1000_samples(self, capsys):
-        assert main(["verify", "equivariance", "--n", "2", "--m", "1"]) == 0
-        assert "samples=1000" in capsys.readouterr().out
+    @pytest.mark.parametrize("what,args,samples", [
+        ("equivariance", ["--n", "2", "--m", "1"], 200),
+        ("pushforward", ["--n", "3", "--m", "1", "--sign", "minus"], 1)])
+    def test_single_check_defaults_to_its_verify_all_count(self, what, args, samples, capsys):
+        assert main(["verify", what] + args) == 0
+        assert f"samples={samples}," in capsys.readouterr().out
 
     def test_several_checks_pass(self, capsys):
         for what, args in [("equivariance", ["--sign", "minus", "--samples", "50"]),

@@ -210,6 +210,13 @@ class TestFiberSample:
                 assert np.max(np.abs(rm.circle_momentum(res, pts) - c)) < 1e-12
                 assert np.all(rm.in_domain(res, pts))
 
+    def test_minus_window(self):
+        # (0.1, 4.0), clipped to 0.999 s_max, or 2-98% of s_max when s_max <= 0.1.
+        lo, hi = dp.minus_fiber_window(np.array([np.inf, 10.0, 2.0, 0.1, 0.05]))
+        assert lo.tolist() == [0.1, 0.1, 0.1, 0.02 * 0.1, 0.02 * 0.05]
+        assert hi.tolist() == [4.0, 4.0, 0.999 * 2.0, 0.98 * 0.1, 0.98 * 0.05]
+        assert [float(v) for v in dp.minus_fiber_window(np.inf)] == [0.1, 4.0]
+
     def test_minus_s_max_matches_domain_boundary(self):
         res = Resonance(1, 3, "minus")
         c = 0.5

@@ -196,6 +196,11 @@ class TestFlowUpstairs:
     def test_whole_step_count_within_rounding(self, dt, total, steps):
         assert dyn._step_count(dt, total) == steps
 
+    def test_step_count_limit(self):
+        assert dyn._step_count(1.0, float(dyn._MAX_STEPS)) == dyn._MAX_STEPS
+        with pytest.raises(ValueError, match=f"at most {dyn._MAX_STEPS} steps, not 1000001$"):
+            dyn._step_count(1.0, dyn._MAX_STEPS + 1.0)
+
     def test_nan_state_rejected(self):
         # A NaN norm is not above the blowup bound, yet the state is no state.
         nan_after = ScalarField(lambda a: 0.0, lambda a: np.full(4, np.nan))

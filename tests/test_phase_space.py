@@ -159,6 +159,19 @@ class TestMomentumPairing:
             ps.momentum_pairing("minus", E1, xi)
 
 
+def _array_int_pow(z, k):
+    """The former array body of int_pow, kept as the reference for its bits."""
+    base = np.asarray(z)
+    result = np.ones_like(base)
+    base = base.copy()
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
 class TestIntPow:
     def test_matches_builtin(self):
         rng = np.random.default_rng(7)
@@ -166,6 +179,26 @@ class TestIntPow:
         for k in range(6):
             assert np.allclose(ps.int_pow(z, k), z ** k, rtol=1e-13)
 
+    def test_keeps_the_array_bits_on_float_and_complex_arrays(self):
+        rng = np.random.default_rng(7)
+        x = 2.0 * rng.normal(size=10 ** 4)
+        for v in (x, x + 2j * rng.normal(size=10 ** 4)):
+            assert ps.int_pow(v, 0) == 1.0
+            for k in range(1, 9):
+                got = ps.int_pow(v, k)
+                assert got.dtype == v.dtype
+                assert got.tobytes() == _array_int_pow(v, k).tobytes()
+
+    def test_equals_python_complex_powers(self):
+        # CPython's complex power by a small integer is the same
+        # square-and-multiply (its float power calls libm pow instead).
+        rng = np.random.default_rng(8)
+        for x, y in (3.0 * rng.normal(size=(2000, 2))).tolist():
+            for k in range(9):
+                assert ps.int_pow(complex(x, y), k) == complex(x, y) ** k
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ps.int_pow(2.0, -1)
+        with pytest.raises(ValueError):
+            ps.int_pow(np.ones(3), -2)
